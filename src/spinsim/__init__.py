@@ -21,7 +21,6 @@ from .machine import (
     MachineState,
     StepOutcome,
     ThreadState,
-    granule,
     init_machine,
     step,
 )

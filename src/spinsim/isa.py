@@ -108,9 +108,6 @@ class Program:
                 ranges.append((i, following[0]))
         return ranges
 
-    def labels_at(self, index: int) -> list[str]:
-        return [name for name, idx in self.labels.items() if idx == index]
-
     def nearest_label(self, index: int) -> str | None:
         """Closest label at or before `index` (latest-declared wins on ties)."""
         best = None

@@ -48,6 +48,9 @@ MASK32 = 0xFFFFFFFF
 GRANULE_BYTES = 4
 DATA_BASE = 0x1000
 
+# Opcodes that may write memory (and bump a version).
+STORE_OPCODES = frozenset({"STR", "STREX"})
+
 RUNNABLE = "runnable"
 EXITED = "exited"
 FAULTED = "faulted"
@@ -60,11 +63,6 @@ _ATOMIC_STEP_LIMIT = 4096
 class ExecMode(enum.Enum):
     GDB = "gdb"
     HW = "hw"
-
-
-def granule(address: int) -> int:
-    """Exclusivity granule of an address: the 4-byte word itself."""
-    return address
 
 
 @dataclass
@@ -222,7 +220,7 @@ def _execute_one(
             sym = m.addr_sym.get(addr, hex(addr))
             mem_writes.append((sym, m.memory[addr], value))
         m.memory[addr] = value
-        m.versions[granule(addr)] += 1
+        m.versions[addr] += 1
         return True
 
     next_pc = pc + 1
@@ -242,15 +240,14 @@ def _execute_one(
         value = load(addr)
         if value is not None:
             write_reg(ops[0][1], value)
-            t.mon_granule = granule(addr)
-            t.mon_version = m.versions[t.mon_granule]
+            t.mon_granule = addr
+            t.mon_version = m.versions[addr]
     elif op == "STREX":
         addr = t.regs[ops[2][1]]
         if addr % GRANULE_BYTES or addr not in m.memory:
             _fault(t, "bus error")
         else:
-            g = granule(addr)
-            ok = t.mon_granule == g and t.mon_version == m.versions[g]
+            ok = t.mon_granule == addr and t.mon_version == m.versions[addr]
             t.mon_granule = None
             if ok:
                 store(addr, t.regs[ops[1][1]])

@@ -62,6 +62,31 @@ class Scenario:
         return self.expect_memory is not None or self.expect_violations is not None
 
 
+def _int(value, what: str) -> int:
+    """An integer field: a YAML integer or a decimal string. Floats and
+    booleans are rejected rather than truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value, 10)
+        except ValueError:
+            pass
+    raise ScenarioError(f"{what} must be an integer, got {value!r}")
+
+
+def _mapping(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a mapping, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _parse_register(value) -> int:
     if isinstance(value, int):
         return value
@@ -85,7 +110,7 @@ def _parse_tamper(entry) -> TamperSpec:
     if not isinstance(entry, dict):
         raise ScenarioError(f"tamper entry must be a mapping, got {entry!r}")
     try:
-        thread = int(entry["thread"])
+        thread = _int(entry["thread"], "tamper thread")
         location = str(entry["at"])
         register = _parse_register(entry["register"])
         action = _parse_action(entry["action"])
@@ -116,16 +141,18 @@ def _parse_schedule(raw, mode: ExecMode) -> ScheduleScript | RandomSchedule:
         if not isinstance(rnd, dict) or "seed" not in rnd:
             raise ScenarioError("random schedule needs a seed")
         return RandomSchedule(
-            seed=int(rnd["seed"]),
-            max_steps=int(rnd.get("max_steps", DEFAULT_MAX_STEPS)),
+            seed=_int(rnd["seed"], "random seed"),
+            max_steps=_int(rnd.get("max_steps", DEFAULT_MAX_STEPS), "random max_steps"),
         )
     if "entries" not in raw:
         raise ScenarioError("schedule must have 'entries' or 'random'")
     entries = []
-    for item in raw["entries"]:
+    for item in _list(raw["entries"], "schedule entries"):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ScenarioError(f"schedule entry must be [thread, steps], got {item!r}")
-        entries.append((int(item[0]), int(item[1])))
+        entries.append(
+            (_int(item[0], "schedule entry thread"), _int(item[1], "schedule entry steps"))
+        )
     return ScheduleScript(
         entries=entries,
         mode=mode,
@@ -153,7 +180,7 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError(f"unknown scenario field(s): {', '.join(sorted(unknown))}")
     if "threads" not in doc:
         raise ScenarioError("scenario needs a thread count")
-    threads = int(doc["threads"])
+    threads = _int(doc["threads"], "threads")
     if threads < 1:
         raise ScenarioError("threads must be >= 1")
     mode_name = str(doc.get("mode", "hw"))
@@ -165,20 +192,22 @@ def parse_scenario(doc: dict) -> Scenario:
     schedule = _parse_schedule(doc["schedule"], mode)
 
     overrides = {}
-    for name, value in (doc.get("overrides") or {}).items():
-        overrides[str(name)] = int(value)
-    tampers = [_parse_tamper(t) for t in (doc.get("tampers") or [])]
+    for name, value in _mapping(doc.get("overrides") or {}, "overrides").items():
+        overrides[str(name)] = _int(value, f"override {name}")
+    tampers = [_parse_tamper(t) for t in _list(doc.get("tampers") or [], "tampers")]
 
     expect_memory = None
     expect_violations = None
     expectations = doc.get("expectations")
     if expectations is not None:
-        if not isinstance(expectations, dict):
-            raise ScenarioError("expectations must be a mapping")
+        _mapping(expectations, "expectations")
         if "memory" in expectations:
-            expect_memory = {str(k): int(v) for k, v in expectations["memory"].items()}
+            expect_memory = {
+                str(k): _int(v, f"expected {k}")
+                for k, v in _mapping(expectations["memory"], "expected memory").items()
+            }
         if "violations" in expectations:
-            expect_violations = int(expectations["violations"])
+            expect_violations = _int(expectations["violations"], "expected violations")
 
     return Scenario(
         threads=threads,

@@ -14,10 +14,17 @@ portable): pick = runnable[next_output % len(runnable)].
 The explorer enumerates all interleavings of a program depth-first in
 HW mode, memoizing on the full machine state (registers, flags, PCs,
 monitors, memory, and version counters; versions are semantic state
-because they decide reservation validity). Every declared `.region` is
-treated as a mutual-exclusion region: a state where two threads' PCs
-lie inside the same region at once is reported with the thread schedule
-that reached it.
+because they decide reservation validity). It keys a state by a short
+tuple of ints, in the manner of SPIN's "collapse" compression (Holzmann,
+State Compression in SPIN, 1997): each thread's state and the memory
+(values plus versions) are interned once per exploration, and the key
+holds their ids. One step changes one thread and at most memory, so a
+child's key reuses its parent's other ids, and after each child only
+the stepped thread and memory are rolled back. `_freeze` and `_thaw`
+convert between the mutable machine and these keys. Every declared
+`.region` is treated as a mutual-exclusion region: a state where two
+threads' PCs lie inside the same region at once is reported with the
+thread schedule that reached it.
 """
 
 from __future__ import annotations
@@ -27,8 +34,16 @@ import json
 from dataclasses import dataclass, field
 
 from .isa import Program
-from .machine import RUNNABLE, ExecMode, MachineState, init_machine, step
-from .tamper import CompiledTampers, TamperSpec, apply_tampers, compile_tampers
+from .machine import (
+    RUNNABLE,
+    STORE_OPCODES,
+    ExecMode,
+    MachineState,
+    ThreadState,
+    init_machine,
+    step,
+)
+from .tamper import CompiledTampers, TamperError, TamperSpec, apply_tampers, compile_tampers
 from .trace import TraceEvent
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -187,6 +202,22 @@ class _Runner:
         )
 
 
+def _compile_tampers(
+    tampers: list[TamperSpec] | None, machine: MachineState
+) -> CompiledTampers | None:
+    """Compile a run's tampers, rejecting any aimed at a thread the
+    machine does not have (it could never fire)."""
+    if not tampers:
+        return None
+    for spec in tampers:
+        if not 0 <= spec.thread_id < len(machine.threads):
+            raise TamperError(
+                f"tamper at {spec.location!r} names unknown thread {spec.thread_id} "
+                f"(threads are 0..{len(machine.threads) - 1})"
+            )
+    return compile_tampers(tampers, machine.program, machine.mode)
+
+
 def run_schedule(
     machine: MachineState,
     script: ScheduleScript,
@@ -210,7 +241,7 @@ def run_schedule(
         if count < 1:
             raise ValueError(f"schedule entry for thread {tid} has step count {count}")
 
-    compiled = compile_tampers(tampers, machine.program, machine.mode) if tampers else None
+    compiled = _compile_tampers(tampers, machine)
     runner = _Runner(machine, compiled)
     runner.clrex_on_switch = script.clrex_on_switch
 
@@ -239,7 +270,7 @@ def run_random(
     step budget runs out. Identical seeds give identical runs."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    compiled = compile_tampers(tampers, machine.program, machine.mode) if tampers else None
+    compiled = _compile_tampers(tampers, machine)
     runner = _Runner(machine, compiled)
     header = {
         "program_sha256": machine.program.sha256(),
@@ -275,27 +306,81 @@ class ExploreReport:
         return {dict(state)[symbol] for state in self.final_states}
 
 
-def _freeze(machine: MachineState, addrs: list[int]):
+class _InternTable:
+    """Numbers each distinct component state (one thread, or memory with
+    its versions) in order of first sight, and maps numbers back."""
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {}
+        self.parts: list[tuple] = []
+
+    def intern(self, part: tuple) -> int:
+        i = self.ids.get(part)
+        if i is None:
+            i = self.ids[part] = len(self.parts)
+            self.parts.append(part)
+        return i
+
+
+def _thread_part(t: ThreadState) -> tuple:
+    return (tuple(t.regs), t.z, t.n, t.pc, t.mon_granule, t.mon_version, t.status, t.fault)
+
+
+def _memory_part(machine: MachineState, addrs: list[int]) -> tuple:
     return (
-        tuple(
-            (tuple(t.regs), t.z, t.n, t.pc, t.mon_granule, t.mon_version, t.status, t.fault)
-            for t in machine.threads
-        ),
-        tuple(machine.memory[a] for a in addrs),
-        tuple(machine.versions[a] for a in addrs),
+        tuple([machine.memory[a] for a in addrs]),
+        tuple([machine.versions[a] for a in addrs]),
     )
 
 
-def _thaw(machine: MachineState, snap, addrs: list[int]) -> None:
-    for t, s in zip(machine.threads, snap[0]):
+def _freeze(
+    machine: MachineState,
+    addrs: list[int],
+    table: _InternTable,
+    parent: tuple[int, ...] | None = None,
+    tid: int = 0,
+    stored: bool = True,
+) -> tuple[int, ...]:
+    """State key: the interned id of each thread's state, then the id of
+    memory plus versions. Given the `parent` key the machine was thawed
+    from, only thread `tid`, and memory when the step `stored`, changed,
+    so only those are re-interned."""
+    intern = table.intern
+    if parent is None:
+        key = [intern(_thread_part(t)) for t in machine.threads]
+        key.append(intern(_memory_part(machine, addrs)))
+        return tuple(key)
+    key = list(parent)
+    key[tid] = intern(_thread_part(machine.threads[tid]))
+    if stored:
+        key[-1] = intern(_memory_part(machine, addrs))
+    return tuple(key)
+
+
+def _thaw(
+    machine: MachineState,
+    key: tuple[int, ...],
+    addrs: list[int],
+    table: _InternTable,
+    tid: int | None = None,
+    stored: bool = True,
+) -> None:
+    """Load state `key` into the machine: every thread, or only thread
+    `tid` when the machine already holds `key` apart from that thread's
+    last step (and memory, when that step `stored`)."""
+    parts = table.parts
+    for i in range(len(machine.threads)) if tid is None else (tid,):
+        t = machine.threads[i]
+        s = parts[key[i]]
         t.regs = list(s[0])
         t.z, t.n, t.pc = s[1], s[2], s[3]
         t.mon_granule, t.mon_version = s[4], s[5]
         t.status, t.fault = s[6], s[7]
-    for a, value in zip(addrs, snap[1]):
-        machine.memory[a] = value
-    for a, version in zip(addrs, snap[2]):
-        machine.versions[a] = version
+    if stored:
+        values, versions = parts[key[-1]]
+        for a, value, version in zip(addrs, values, versions):
+            machine.memory[a] = value
+            machine.versions[a] = version
 
 
 def explore(
@@ -310,10 +395,23 @@ def explore(
     state. Reports each distinct final memory with a witness schedule,
     plus every reachable state where two or more threads occupy the
     same declared region. Bound exhaustion sets truncated; the report
-    stays sound for the explored prefix."""
+    stays sound for the explored prefix.
+
+    The visited set holds keys of N+1 small ints: the interned ids of
+    each thread's (regs, flags, pc, monitor, status, fault) tuple and of
+    the memory values plus versions, so a component shared by many
+    states is stored once. An expanded state is thawed once; each child
+    re-interns only the thread it stepped (and memory after a store) and
+    rolls back only those. `_freeze` and `_thaw` stay separate functions
+    because perfbench times them as the explorer's keying layer
+    (`sched.explore.key_s`)."""
     machine = init_machine(program, thread_count, ExecMode.HW, overrides)
     addrs = sorted(machine.memory)
+    syms = [machine.addr_sym[a] for a in addrs]
     regions = program.regions
+    stores = {i for i, ins in enumerate(program.instructions) if ins.opcode in STORE_OPCODES}
+    table = _InternTable()
+    parts = table.parts
 
     final_states: set = set()
     witnesses: dict = {}
@@ -321,20 +419,20 @@ def explore(
     schedules_explored = 0
     truncated = False
 
-    root = _freeze(machine, addrs)
-    stack: list[tuple[object, tuple[int, ...]]] = [(root, ())]
-    visited = set()
+    root = _freeze(machine, addrs, table)
+    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [(root, ())]
+    visited: set[tuple[int, ...]] = set()
 
     while stack:
-        snap, path = stack.pop()
-        if snap in visited:
+        key, path = stack.pop()
+        if key in visited:
             continue
         if len(visited) >= max_states:
             truncated = True
             break
-        visited.add(snap)
+        visited.add(key)
 
-        threads = snap[0]
+        threads = [parts[i] for i in key[:-1]]
         if regions:
             for region in regions:
                 inside = [
@@ -348,9 +446,7 @@ def explore(
 
         runnable = [i for i, t in enumerate(threads) if t[6] == RUNNABLE]
         if not runnable:
-            memory_key = tuple(
-                sorted((machine.addr_sym[a], v) for a, v in zip(addrs, snap[1]))
-            )
+            memory_key = tuple(sorted(zip(syms, parts[key[-1]][0])))
             final_states.add(memory_key)
             witnesses.setdefault(memory_key, list(path))
             schedules_explored += 1
@@ -359,12 +455,15 @@ def explore(
             truncated = True
             continue
 
+        _thaw(machine, key, addrs, table)
         for tid in reversed(runnable):
-            _thaw(machine, snap, addrs)
+            # In HW mode a step retires exactly the instruction at the pc.
+            stored = threads[tid][3] in stores
             step(machine, tid, collect_events=False)
-            child = _freeze(machine, addrs)
+            child = _freeze(machine, addrs, table, key, tid, stored)
             if child not in visited:
                 stack.append((child, path + (tid,)))
+            _thaw(machine, key, addrs, table, tid, stored)
 
     return ExploreReport(
         final_states=final_states,

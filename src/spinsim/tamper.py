@@ -58,9 +58,6 @@ class CompiledTampers:
     hooks: dict[tuple[int, int], list[_Hook]]
     fire_log: list[tuple[int, int, str]] = field(default_factory=list)
 
-    def hook_pcs(self) -> set[int]:
-        return {pc for _, pc in self.hooks}
-
 
 def resolve_location(location: str, program: Program) -> int:
     m = _LOCATION.match(location.strip())

@@ -8,7 +8,6 @@ from spinsim.machine import (
     FAULTED,
     RUNNABLE,
     ExecMode,
-    granule,
     init_machine,
     step,
 )
@@ -237,14 +236,6 @@ def test_branch_to_out_of_range_index_faults():
     out = step(m, 0)
     assert out.new_status == FAULTED
     assert m.threads[0].fault == "bad branch"
-
-
-def test_granule_is_word_identity(load_corpus):
-    p = load_corpus("lock_regcmp.s")
-    m = init_machine(p, 1)
-    a, b = m.sym_addr["lockVar"], m.sym_addr["accountBalance"]
-    assert granule(a) == a
-    assert granule(a) != granule(b)
 
 
 def test_exit_at_program_end():

@@ -91,6 +91,18 @@ def test_random_schedule_round_trip(tmp_path):
             "bad tamper action",
         ),
         ("not a mapping", "YAML mapping"),
+        ({"threads": [1], "schedule": {"entries": []}}, "threads must be an integer"),
+        ({"threads": 1, "schedule": {"entries": []}, "overrides": 5}, "overrides must be a mapping"),
+        (
+            {"threads": 1, "schedule": {"entries": []}, "expectations": {"memory": 3}},
+            "expected memory must be a mapping",
+        ),
+        ({"threads": 1, "schedule": {"entries": [[0, "x"]]}}, "steps must be an integer"),
+        ({"threads": 2.9, "schedule": {"entries": []}}, "threads must be an integer"),
+        ({"threads": 1, "schedule": {"entries": [[0, 1.5]]}}, "steps must be an integer"),
+        ({"threads": 1, "schedule": {"random": {"seed": "abc"}}}, "seed must be an integer"),
+        ({"threads": 1, "schedule": {"entries": 5}}, "entries must be a list"),
+        ({"threads": 1, "schedule": {"entries": []}, "tampers": 5}, "tampers must be a list"),
     ],
 )
 def test_scenario_validation_errors(doc, pattern):
@@ -144,6 +156,28 @@ def test_cli_run_parse_error_names_line(tmp_path, capsys):
     bad.write_text("    MOV R1, #0\n    CMP R8\n")
     assert main(["run", str(bad), str(bad)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_cli_run_malformed_scenario_is_usage_error(corpus_file, tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_text("threads: [1]\nschedule: {entries: []}\n")
+    assert main(["run", str(corpus_file("lock_regcmp.s")), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "threads must be an integer" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_run_rejects_tamper_on_missing_thread(corpus_file, tmp_path, capsys):
+    scenario = load_scenario(corpus_file("regtamper_attack.scn"))
+    scenario.threads = 2
+    scenario.schedule.entries = [(0, 1)]
+    scenario.tampers = [TamperSpec(7, "retry+2", 7, ("add", 1))]
+    path = tmp_path / "ghost.scn"
+    save_scenario(scenario, path)
+    assert main(["run", str(corpus_file("lock_regcmp.s")), str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown thread 7" in err
+    assert err.count("\n") == 1
 
 
 def test_cli_run_writes_trace(corpus_file, tmp_path, capsys):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsim.isa import parse_program
-from spinsim.machine import EXITED, ExecMode, init_machine
+from spinsim.machine import EXITED, RUNNABLE, ExecMode, init_machine, step
 from spinsim.sched import (
     ScheduleScript,
     explore,
@@ -254,3 +256,140 @@ def test_explore_three_threads(load_corpus):
     assert rep.final_values("accountBalance") == {115}
     assert rep.mutual_exclusion_violations == []
     assert not rep.truncated
+
+
+# --- Differential check of the explorer against the nested-tuple reference ---
+
+
+def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_000):
+    """The explorer keyed on whole-machine nested-tuple snapshots, thawed
+    in full before every child step. Returns the report's fields and the
+    number of states visited."""
+    m = init_machine(program, thread_count, ExecMode.HW)
+    addrs = sorted(m.memory)
+
+    def freeze():
+        return (
+            tuple(
+                (tuple(t.regs), t.z, t.n, t.pc, t.mon_granule, t.mon_version, t.status, t.fault)
+                for t in m.threads
+            ),
+            tuple(m.memory[a] for a in addrs),
+            tuple(m.versions[a] for a in addrs),
+        )
+
+    def thaw(snap):
+        for t, s in zip(m.threads, snap[0]):
+            t.regs = list(s[0])
+            t.z, t.n, t.pc, t.mon_granule, t.mon_version, t.status, t.fault = s[1:]
+        for a, value, version in zip(addrs, snap[1], snap[2]):
+            m.memory[a], m.versions[a] = value, version
+
+    finals, witnesses, violations, terminal, truncated = set(), {}, [], 0, False
+    stack, visited = [(freeze(), ())], set()
+    while stack:
+        snap, path = stack.pop()
+        if snap in visited:
+            continue
+        if len(visited) >= max_states:
+            truncated = True
+            break
+        visited.add(snap)
+        threads = snap[0]
+        if any(
+            sum(t[6] == RUNNABLE and r.start <= t[3] < r.end for t in threads) >= 2
+            for r in program.regions
+        ):
+            violations.append(list(path))
+        runnable = [i for i, t in enumerate(threads) if t[6] == RUNNABLE]
+        if not runnable:
+            final = tuple(sorted((m.addr_sym[a], v) for a, v in zip(addrs, snap[1])))
+            finals.add(final)
+            witnesses.setdefault(final, list(path))
+            terminal += 1
+            continue
+        if len(path) >= max_steps:
+            truncated = True
+            continue
+        for tid in reversed(runnable):
+            thaw(snap)
+            step(m, tid, collect_events=False)
+            child = freeze()
+            if child not in visited:
+                stack.append((child, path + (tid,)))
+    return (finals, witnesses, violations, terminal, truncated), len(visited)
+
+
+def report_fields(rep):
+    return (
+        rep.final_states,
+        rep.witnesses,
+        rep.mutual_exclusion_violations,
+        rep.schedules_explored,
+        rep.truncated,
+    )
+
+
+def assert_explorers_agree(program, thread_count):
+    """Same report as the reference, untruncated and at every max_states
+    around the reference's visited-state count."""
+    want, visited = reference_explore(program, thread_count)
+    assert not want[-1]
+    assert report_fields(explore(program, thread_count)) == want
+    for cap in sorted({1, 10, 100, visited - 1} - {0}):
+        want_capped, _ = reference_explore(program, thread_count, max_states=cap)
+        got = report_fields(explore(program, thread_count, max_states=cap))
+        assert got == want_capped, (thread_count, cap)
+        assert got[-1] == (cap < visited), cap
+    assert report_fields(explore(program, thread_count, max_states=visited)) == want
+
+
+@pytest.mark.parametrize(
+    "name, threads",
+    [
+        ("lock_basic.s", 2),
+        ("lock_regcmp.s", 2),
+        ("lock_no_ll_branch.s", 2),
+        ("lock_unlock.s", 2),
+        ("unlocked_inc.s", 2),
+        ("unlocked_inc.s", 3),
+    ],
+)
+def test_explore_matches_reference_on_corpus(load_corpus, name, threads):
+    assert_explorers_agree(load_corpus(name), threads)
+
+
+_REG_ADDR = st.sampled_from(("R10", "R11"))
+_STRAIGHT_LINE_OP = st.one_of(
+    st.builds("LDREX {}, [{}]".format, st.sampled_from(("R1", "R2", "R3")), _REG_ADDR),
+    st.builds(
+        "STREX {}, {}, [{}]".format,
+        st.sampled_from(("R1", "R2", "R3")),
+        st.sampled_from(("R4", "R5")),
+        _REG_ADDR,
+    ),
+    st.builds("STR {}, [{}]".format, st.sampled_from(("R4", "R5")), _REG_ADDR),
+    st.builds("LDR {}, [{}]".format, st.sampled_from(("R6", "R7")), _REG_ADDR),
+    st.builds("MOV {}, #{}".format, st.sampled_from(("R4", "R5")), st.integers(1, 9)),
+    st.just("CLREX"),
+    st.just("NOP"),
+)
+
+
+@st.composite
+def straight_line_programs(draw):
+    """Exclusive-access soup over two words, shaped like the property
+    sweep's `random_ops`, with one `.region` around a drawn slice."""
+    ops = draw(st.lists(_STRAIGHT_LINE_OP, min_size=3, max_size=8))
+    enter = draw(st.integers(0, len(ops) - 1))
+    leave = draw(st.integers(enter + 1, len(ops)))
+    body = ops[:enter] + ["enter:"] + ops[enter:leave] + ["leave:"] + ops[leave:] + ["NOP"]
+    lines = [".data A 0", ".data B 0", ".region crit enter leave"]
+    lines += ["LDR R10, =A", "LDR R11, =B"] + body
+    return parse_program("\n".join(lines) + "\n")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(program=straight_line_programs(), threads=st.integers(2, 3))
+def test_explore_matches_reference_on_random_programs(program, threads):
+    assert_explorers_agree(program, threads)

@@ -4,7 +4,7 @@ import pytest
 
 from spinsim.machine import ExecMode, init_machine, step
 from spinsim.scenario import load_scenario, run_scenario
-from spinsim.sched import ScheduleScript, run_schedule
+from spinsim.sched import ScheduleScript, run_random, run_schedule
 from spinsim.tamper import (
     EVERY,
     TamperError,
@@ -192,3 +192,12 @@ def test_run_schedule_rejects_gdb_inside_hooks_before_running(load_corpus):
     with pytest.raises(TamperError):
         run_schedule(m, ScheduleScript(entries=[(0, 1)]), tampers=[bad])
     assert m.step_count == 0  # rejected before anything ran
+
+
+def test_runs_reject_tampers_on_missing_threads(load_corpus):
+    p = load_corpus("lock_regcmp.s")
+    ghost = TamperSpec(thread_id=7, location="retry+2", register=7, action=("add", 1))
+    with pytest.raises(TamperError, match="unknown thread 7"):
+        run_schedule(init_machine(p, 2, ExecMode.HW), ScheduleScript(entries=[]), tampers=[ghost])
+    with pytest.raises(TamperError, match="unknown thread 7"):
+        run_random(init_machine(p, 2, ExecMode.HW), seed=1, tampers=[ghost])
