@@ -60,6 +60,11 @@ def cmd_run(args) -> int:
         scenario = load_scenario(scenario_path)
     except ScenarioError as e:
         raise _UsageError(str(e)) from None
+    # Basenames: the debugger's `export` writes the path as typed.
+    if scenario.program is not None and Path(scenario.program).name != Path(args.program).name:
+        raise _UsageError(
+            f"{args.scenario}: scenario is for program {scenario.program!r}, not {args.program!r}"
+        )
     try:
         result = run_scenario(scenario, program)
     except (TamperError, ValueError) as e:

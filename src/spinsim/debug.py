@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .isa import Program
 from .machine import MASK32, RUNNABLE, ExecMode, init_machine
-from .sched import ScheduleScript, _Runner
+from .sched import ScheduleScript, _Runner, witness_script
 from .scenario import Scenario, save_scenario
 from .tamper import TamperSpec
 from .trace import emit_trace, summarize
@@ -134,13 +134,9 @@ class DebugSession:
         return self.runner.result(header)
 
     def _script(self) -> ScheduleScript:
-        entries: list[tuple[int, int]] = []
-        for tid in self.dispatch_log:
-            if entries and entries[-1][0] == tid:
-                entries[-1] = (tid, entries[-1][1] + 1)
-            else:
-                entries.append((tid, 1))
-        return ScheduleScript(entries=entries, mode=self.machine.mode, halt=True)
+        script = witness_script(self.dispatch_log)
+        script.mode = self.machine.mode
+        return script
 
     # -- commands ----------------------------------------------------------
 
@@ -231,7 +227,9 @@ class DebugSession:
                 )
         old = t.regs[reg]
         new = (value if op == "=" else old + value) & MASK32
-        t.regs[reg] = new
+        regs = list(t.regs)
+        regs[reg] = new
+        self.machine.threads[self.focus] = t._replace(regs=tuple(regs))
         location = location_for_pc(self.program, t.pc)
         if location is not None:
             self.recorded_tampers.append(

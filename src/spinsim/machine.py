@@ -1,5 +1,11 @@
 """Simulated machine state and single-step execution.
 
+Each thread's state is an immutable `ThreadState` value. `step`, the
+one transition function, puts a new record in `MachineState.threads`
+for every instruction it retires; tampers, the debugger's `set $R` and
+a scheduler-switch CLREX replace records the same way, so a record
+taken earlier never changes. Memory and versions are mutable dicts.
+
 The machine is sequentially consistent: one instruction retires at a
 time and every store is immediately visible to all threads. Reservation
 tracking is version-based: each mapped word (the exclusivity granule is
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .isa import Program
 from .trace import TraceEvent
@@ -65,9 +72,8 @@ class ExecMode(enum.Enum):
     HW = "hw"
 
 
-@dataclass
-class ThreadState:
-    regs: list[int]
+class ThreadState(NamedTuple):
+    regs: tuple[int, ...]          # R0..R12
     z: bool = False
     n: bool = False
     pc: int = 0
@@ -115,12 +121,19 @@ class MachineState:
         return {sym: self.memory[addr] for sym, addr in self.sym_addr.items()}
 
     def strictly_inside_exclusive(self, pc: int) -> tuple[int, int] | None:
-        """Range (l, s) with l < pc <= s, i.e. past the LDREX but not past
-        the STREX. The LDREX index itself is a legal stop point."""
-        for l, s in self.exclusive_ranges:
-            if l < pc <= s:
-                return (l, s)
-        return None
+        """`strictly_inside` over this program's exclusive ranges."""
+        return strictly_inside(self.exclusive_ranges, pc)
+
+
+def strictly_inside(ranges: list[tuple[int, int]], pc: int) -> tuple[int, int] | None:
+    """The GDB stop-point rule: the range (l, s) of `ranges` with
+    l < pc <= s, i.e. past the LDREX but not past the STREX, or None
+    when a debugger may stop at `pc`. The LDREX index itself is a legal
+    stop point."""
+    for l, s in ranges:
+        if l < pc <= s:
+            return (l, s)
+    return None
 
 
 def init_machine(
@@ -147,13 +160,10 @@ def init_machine(
             if name not in sym_addr:
                 raise ValueError(f"override names undeclared symbol {name!r}")
             memory[sym_addr[name]] = value & MASK32
-    threads = [
-        ThreadState(regs=[0] * 13, pc=program.entry) for _ in range(thread_count)
-    ]
     return MachineState(
         program=program,
         mode=mode,
-        threads=threads,
+        threads=[ThreadState((0,) * 13, pc=program.entry)] * thread_count,
         memory=memory,
         versions=versions,
         sym_addr=sym_addr,
@@ -162,142 +172,126 @@ def init_machine(
     )
 
 
-def _operand_value(t: ThreadState, operand) -> int:
-    kind, value = operand
-    if kind == "reg":
-        return t.regs[value]
-    return value & MASK32
-
-
-def _monitor_desc(m: MachineState, t: ThreadState) -> str:
-    if t.mon_granule is None:
+def _monitor_desc(m: MachineState, granule: int | None, version: int) -> str:
+    if granule is None:
         return "open"
-    sym = m.addr_sym.get(t.mon_granule, hex(t.mon_granule))
-    return f"{sym}:v{t.mon_version}"
-
-
-def _fault(t: ThreadState, reason: str) -> None:
-    t.status = FAULTED
-    t.fault = reason
-    t.mon_granule = None
+    return f"{m.addr_sym.get(granule, hex(granule))}:v{version}"
 
 
 def _execute_one(
     m: MachineState,
     tid: int,
     t: ThreadState,
-    collect: bool,
     tamper_note: str | None,
-) -> TraceEvent | None:
+    events: list[TraceEvent] | None,
+) -> ThreadState:
+    """Retire the instruction at `t.pc` for thread `tid`: apply its store
+    to memory, append its trace event to `events` unless that is None,
+    and return the thread's new record."""
     prog = m.program
-    pc = t.pc
+    memory = m.memory
+    regs, z, n, pc, granule, version, _, _ = t
     ins = prog.instructions[pc]
     op = ins.opcode
     ops = ins.operands
-
-    reg_writes: list[tuple[str, int, int]] = []
-    mem_writes: list[tuple[str, int, int]] = []
-    monitor_before = _monitor_desc(m, t) if collect else ""
-
-    def write_reg(rd: int, value: int) -> None:
-        value &= MASK32
-        if collect:
-            reg_writes.append((f"R{rd}", t.regs[rd], value))
-        t.regs[rd] = value
-
-    def load(addr: int) -> int | None:
-        if addr % GRANULE_BYTES or addr not in m.memory:
-            _fault(t, "bus error")
-            return None
-        return m.memory[addr]
-
-    def store(addr: int, value: int) -> bool:
-        if addr % GRANULE_BYTES or addr not in m.memory:
-            _fault(t, "bus error")
-            return False
-        value &= MASK32
-        if collect:
-            sym = m.addr_sym.get(addr, hex(addr))
-            mem_writes.append((sym, m.memory[addr], value))
-        m.memory[addr] = value
-        m.versions[addr] += 1
-        return True
-
     next_pc = pc + 1
+    fault = None
+    rd = None                      # register written, with `value`
+    store_addr = None              # word stored, with `store_value`
+    if op in ("MOV", "CMP", "ADD"):
+        kind, src = ops[-1]        # a register or an immediate
+        if kind == "reg":
+            src = regs[src]
 
+    # Memory maps aligned words only, so `addr not in memory` also
+    # rejects unaligned addresses.
     if op == "MOV":
-        write_reg(ops[0][1], _operand_value(t, ops[1]))
+        rd, value = ops[0][1], src
     elif op == "LDR_ADDR":
-        write_reg(ops[0][1], m.sym_addr[ops[1][1]])
-    elif op == "LDR_MEM":
-        value = load(t.regs[ops[1][1]])
-        if value is not None:
-            write_reg(ops[0][1], value)
-    elif op == "STR":
-        store(t.regs[ops[1][1]], t.regs[ops[0][1]])
-    elif op == "LDREX":
-        addr = t.regs[ops[1][1]]
-        value = load(addr)
-        if value is not None:
-            write_reg(ops[0][1], value)
-            t.mon_granule = addr
-            t.mon_version = m.versions[addr]
-    elif op == "STREX":
-        addr = t.regs[ops[2][1]]
-        if addr % GRANULE_BYTES or addr not in m.memory:
-            _fault(t, "bus error")
+        rd, value = ops[0][1], m.sym_addr[ops[1][1]]
+    elif op == "LDR_MEM" or op == "LDREX":
+        addr = regs[ops[1][1]]
+        if addr not in memory:
+            fault = "bus error"
         else:
-            ok = t.mon_granule == addr and t.mon_version == m.versions[addr]
-            t.mon_granule = None
-            if ok:
-                store(addr, t.regs[ops[1][1]])
-                write_reg(ops[0][1], 0)
+            rd, value = ops[0][1], memory[addr]
+            if op == "LDREX":
+                granule, version = addr, m.versions[addr]
+    elif op == "STR":
+        addr = regs[ops[1][1]]
+        if addr not in memory:
+            fault = "bus error"
+        else:
+            store_addr, store_value = addr, regs[ops[0][1]]
+    elif op == "STREX":
+        addr = regs[ops[2][1]]
+        if addr not in memory:
+            fault = "bus error"
+        else:
+            rd = ops[0][1]
+            if granule == addr and version == m.versions[addr]:
+                store_addr, store_value, value = addr, regs[ops[1][1]], 0
             else:
-                write_reg(ops[0][1], 1)
+                value = 1
+            granule = None
     elif op == "CLREX":
-        t.mon_granule = None
+        granule = None
     elif op == "CMP":
-        d = (t.regs[ops[0][1]] - _operand_value(t, ops[1])) & MASK32
-        t.z = d == 0
-        t.n = bool(d & 0x80000000)
+        d = (regs[ops[0][1]] - src) & MASK32
+        z = d == 0
+        n = bool(d & 0x80000000)
     elif op == "ADD":
-        write_reg(ops[0][1], t.regs[ops[1][1]] + _operand_value(t, ops[2]))
+        rd, value = ops[0][1], regs[ops[1][1]] + src
     elif op in ("B", "BNE", "BEQ"):
-        taken = op == "B" or (op == "BNE" and not t.z) or (op == "BEQ" and t.z)
-        if taken:
+        if op == "B" or (op == "BNE" and not z) or (op == "BEQ" and z):
             target = prog.labels[ops[0][1]]
             if not 0 <= target <= len(prog.instructions):
-                _fault(t, "bad branch")
+                fault = "bad branch"
             else:
                 next_pc = target
-    elif op == "NOP":
-        pass
-    else:  # pragma: no cover - parser admits no other opcode
+    elif op != "NOP":  # pragma: no cover - parser admits no other opcode
         raise AssertionError(f"unhandled opcode {op}")
 
-    if t.status == RUNNABLE:
-        t.pc = next_pc
-        if t.pc == len(prog.instructions):
-            t.status = EXITED
-            t.mon_granule = None
+    status = RUNNABLE
+    if fault is not None:
+        status, granule, next_pc = FAULTED, None, pc
+    elif next_pc == len(prog.instructions):
+        status, granule = EXITED, None
+    if rd is not None:
+        value &= MASK32
+        new_regs = list(regs)
+        new_regs[rd] = value
+        regs = tuple(new_regs)
+    if store_addr is not None:
+        old_word = memory[store_addr]
+        store_value &= MASK32
+        memory[store_addr] = store_value
+        m.versions[store_addr] += 1
 
-    if not collect:
-        return None
-    event = TraceEvent(
-        step_index=m.next_event_index(),
-        thread_id=tid,
-        pc=pc,
-        label=prog.nearest_label(pc),
-        instr=ins.text(),
-        reg_writes=reg_writes,
-        mem_writes=mem_writes,
-        tamper=tamper_note,
-        fault=t.fault if t.status == FAULTED else None,
-    )
-    monitor_after = _monitor_desc(m, t)
-    if monitor_after != monitor_before:
-        event.monitor = (monitor_before, monitor_after)
-    return event
+    if events is not None:
+        event = TraceEvent(
+            step_index=m.next_event_index(),
+            thread_id=tid,
+            pc=pc,
+            label=prog.nearest_label(pc),
+            instr=ins.text(),
+            reg_writes=[] if rd is None else [(f"R{rd}", t.regs[rd], value)],
+            mem_writes=(
+                [] if store_addr is None
+                else [(m.addr_sym[store_addr], old_word, store_value)]
+            ),
+            tamper=tamper_note,
+            fault=fault,
+        )
+        if granule != t.mon_granule or version != t.mon_version:
+            before = _monitor_desc(m, t.mon_granule, t.mon_version)
+            after = _monitor_desc(m, granule, version)
+            if after != before:
+                event.monitor = (before, after)
+        events.append(event)
+    # tuple.__new__ skips the Python-level ThreadState.__new__, about half
+    # the cost of the one record built per retired instruction.
+    return tuple.__new__(ThreadState, (regs, z, n, next_pc, granule, version, status, fault))
 
 
 def step(
@@ -310,31 +304,39 @@ def step(
 
     In HW mode exactly one instruction retires. In GDB mode the step
     keeps retiring instructions while the PC sits strictly inside an
-    LDREX..STREX range, so the thread never stops mid-pair.
+    LDREX..STREX range, so the thread never stops mid-pair. Each retired
+    instruction replaces `machine.threads[thread_id]` with a new record.
 
     `pre_exec(thread_id, pc)`, when given, runs immediately before each
-    instruction retires (the tamper hook point) and may return a
-    description string recorded on that instruction's trace event.
+    instruction retires (the tamper hook point), may replace the thread's
+    record, and may return a description string recorded on that
+    instruction's trace event.
     """
-    t = machine.threads[thread_id]
+    threads = machine.threads
+    t = threads[thread_id]
     if t.status != RUNNABLE:
         return StepOutcome([], [], t.status)
 
+    instructions = machine.program.instructions
     executed: list[tuple[int, object]] = []
     events: list[TraceEvent] = []
+    sink = events if collect_events else None
     while True:
         pc = t.pc
-        note = pre_exec(thread_id, pc) if pre_exec is not None else None
-        event = _execute_one(machine, thread_id, t, collect_events, note)
-        executed.append((pc, machine.program.instructions[pc]))
-        if event is not None:
-            events.append(event)
+        note = None
+        if pre_exec is not None:
+            note = pre_exec(thread_id, pc)
+            t = threads[thread_id]
+        t = threads[thread_id] = _execute_one(machine, thread_id, t, note, sink)
+        executed.append((pc, instructions[pc]))
         if t.status != RUNNABLE or machine.mode is ExecMode.HW:
             break
-        if machine.strictly_inside_exclusive(t.pc) is None:
+        if strictly_inside(machine.exclusive_ranges, t.pc) is None:
             break
         if len(executed) >= _ATOMIC_STEP_LIMIT:
-            _fault(t, "atomic-step limit")
+            t = threads[thread_id] = t._replace(
+                status=FAULTED, fault="atomic-step limit", mon_granule=None
+            )
             break
     machine.step_count += 1
     return StepOutcome(executed, events, t.status)

@@ -5,7 +5,7 @@ execution mode, optional memory overrides, a schedule (scripted entries
 or a seeded random schedule), tamper specs, and optional expectations
 that make the scenario self-checking:
 
-    program: lock_regcmp.s        # resolved relative to the scenario file
+    program: lock_regcmp.s        # `spinsim run` checks its program's file name
     threads: 3
     mode: gdb                     # gdb | hw
     overrides:
@@ -57,9 +57,6 @@ class Scenario:
     tampers: list[TamperSpec] = field(default_factory=list)
     expect_memory: dict[str, int] | None = None
     expect_violations: int | None = None
-
-    def has_expectations(self) -> bool:
-        return self.expect_memory is not None or self.expect_violations is not None
 
 
 def _int(value, what: str) -> int:

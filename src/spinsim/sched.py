@@ -18,13 +18,14 @@ because they decide reservation validity). It keys a state by a short
 tuple of ints, in the manner of SPIN's "collapse" compression (Holzmann,
 State Compression in SPIN, 1997): each thread's state and the memory
 (values plus versions) are interned once per exploration, and the key
-holds their ids. One step changes one thread and at most memory, so a
-child's key reuses its parent's other ids, and after each child only
-the stepped thread and memory are rolled back. `_freeze` and `_thaw`
-convert between the mutable machine and these keys. Every declared
-`.region` is treated as a mutual-exclusion region: a state where two
-threads' PCs lie inside the same region at once is reported with the
-thread schedule that reached it.
+holds their ids. Thread records are immutable values, so `_freeze`
+interns them as they are and `_thaw` puts interned records back. One
+step changes one thread and at most memory, so a child's key reuses
+its parent's other ids, and after each child only the stepped thread
+and memory are rolled back. Every declared `.region` is treated as a
+mutual-exclusion region: a state where two threads' PCs lie inside the
+same region at once is reported with the thread schedule that reached
+it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .machine import (
     STORE_OPCODES,
     ExecMode,
     MachineState,
-    ThreadState,
     init_machine,
     step,
 )
@@ -130,7 +130,8 @@ class _Runner:
         m = self.machine
         if self.clrex_on_switch and self._prev_tid not in (None, thread_id):
             # OS-like behavior: descheduling drops the outgoing reservation.
-            m.threads[self._prev_tid].mon_granule = None
+            prev = m.threads[self._prev_tid]
+            m.threads[self._prev_tid] = prev._replace(mon_granule=None)
         self._prev_tid = thread_id
 
         t = m.threads[thread_id]
@@ -322,10 +323,6 @@ class _InternTable:
         return i
 
 
-def _thread_part(t: ThreadState) -> tuple:
-    return (tuple(t.regs), t.z, t.n, t.pc, t.mon_granule, t.mon_version, t.status, t.fault)
-
-
 def _memory_part(machine: MachineState, addrs: list[int]) -> tuple:
     return (
         tuple([machine.memory[a] for a in addrs]),
@@ -347,11 +344,11 @@ def _freeze(
     so only those are re-interned."""
     intern = table.intern
     if parent is None:
-        key = [intern(_thread_part(t)) for t in machine.threads]
+        key = [intern(t) for t in machine.threads]
         key.append(intern(_memory_part(machine, addrs)))
         return tuple(key)
     key = list(parent)
-    key[tid] = intern(_thread_part(machine.threads[tid]))
+    key[tid] = intern(machine.threads[tid])
     if stored:
         key[-1] = intern(_memory_part(machine, addrs))
     return tuple(key)
@@ -369,13 +366,10 @@ def _thaw(
     `tid` when the machine already holds `key` apart from that thread's
     last step (and memory, when that step `stored`)."""
     parts = table.parts
-    for i in range(len(machine.threads)) if tid is None else (tid,):
-        t = machine.threads[i]
-        s = parts[key[i]]
-        t.regs = list(s[0])
-        t.z, t.n, t.pc = s[1], s[2], s[3]
-        t.mon_granule, t.mon_version = s[4], s[5]
-        t.status, t.fault = s[6], s[7]
+    if tid is None:
+        machine.threads[:] = [parts[i] for i in key[:-1]]
+    else:
+        machine.threads[tid] = parts[key[tid]]
     if stored:
         values, versions = parts[key[-1]]
         for a, value, version in zip(addrs, values, versions):
@@ -398,11 +392,10 @@ def explore(
     stays sound for the explored prefix.
 
     The visited set holds keys of N+1 small ints: the interned ids of
-    each thread's (regs, flags, pc, monitor, status, fault) tuple and of
-    the memory values plus versions, so a component shared by many
-    states is stored once. An expanded state is thawed once; each child
-    re-interns only the thread it stepped (and memory after a store) and
-    rolls back only those. `_freeze` and `_thaw` stay separate functions
+    each thread's `ThreadState` record and of the memory values plus
+    versions, so a component shared by many states is stored once. An
+    expanded state is thawed once; each child re-interns only the thread
+    it stepped (and memory after a store) and rolls back only those. `_freeze` and `_thaw` stay separate functions
     because perfbench times them as the explorer's keying layer
     (`sched.explore.key_s`)."""
     machine = init_machine(program, thread_count, ExecMode.HW, overrides)
@@ -438,13 +431,13 @@ def explore(
                 inside = [
                     i
                     for i, t in enumerate(threads)
-                    if t[6] == RUNNABLE and region.start <= t[3] < region.end
+                    if t.status == RUNNABLE and region.start <= t.pc < region.end
                 ]
                 if len(inside) >= 2:
                     violations.append(list(path))
                     break
 
-        runnable = [i for i, t in enumerate(threads) if t[6] == RUNNABLE]
+        runnable = [i for i, t in enumerate(threads) if t.status == RUNNABLE]
         if not runnable:
             memory_key = tuple(sorted(zip(syms, parts[key[-1]][0])))
             final_states.add(memory_key)
@@ -458,7 +451,7 @@ def explore(
         _thaw(machine, key, addrs, table)
         for tid in reversed(runnable):
             # In HW mode a step retires exactly the instruction at the pc.
-            stored = threads[tid][3] in stores
+            stored = threads[tid].pc in stores
             step(machine, tid, collect_events=False)
             child = _freeze(machine, addrs, table, key, tid, stored)
             if child not in visited:
@@ -475,7 +468,9 @@ def explore(
 
 
 def witness_script(path: list[int]) -> ScheduleScript:
-    """Schedule replaying an explorer witness path through run_schedule."""
+    """Schedule replaying a path of thread ids, one step each (an
+    explorer witness, or a debugger session's dispatches), through
+    run_schedule. The mode is HW, the explorer's; set it for others."""
     entries: list[tuple[int, int]] = []
     for tid in path:
         if entries and entries[-1][0] == tid:

@@ -16,10 +16,10 @@ fault-injection attacker.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .isa import Program
-from .machine import MASK32, ExecMode, MachineState
+from .machine import MASK32, ExecMode, MachineState, strictly_inside
 
 EVERY = "every"
 
@@ -56,7 +56,6 @@ class _Hook:
 @dataclass
 class CompiledTampers:
     hooks: dict[tuple[int, int], list[_Hook]]
-    fire_log: list[tuple[int, int, str]] = field(default_factory=list)
 
 
 def resolve_location(location: str, program: Program) -> int:
@@ -97,14 +96,14 @@ def compile_tampers(
     for spec in specs:
         _validate(spec)
         pc = resolve_location(spec.location, program)
-        if mode is ExecMode.GDB:
-            for l, s in ranges:
-                if l < pc <= s:
-                    raise TamperError(
-                        f"tamper at {spec.location!r} (pc {pc}) lies strictly inside "
-                        f"the exclusive range [{l}, {s}]; in gdb mode only the range "
-                        f"entry (pc {l}) is a legal stop point"
-                    )
+        inside = strictly_inside(ranges, pc) if mode is ExecMode.GDB else None
+        if inside is not None:
+            l, s = inside
+            raise TamperError(
+                f"tamper at {spec.location!r} (pc {pc}) lies strictly inside "
+                f"the exclusive range [{l}, {s}]; in gdb mode only the range "
+                f"entry (pc {l}) is a legal stop point"
+            )
         hooks.setdefault((spec.thread_id, pc), []).append(_Hook(spec))
     return CompiledTampers(hooks=hooks)
 
@@ -117,12 +116,14 @@ def apply_tampers(
 ) -> list[str]:
     """Apply any hooks matching (thread, pc); called by the scheduler
     immediately before that instruction executes. Non-matching calls are
-    no-ops. Returns descriptions of the edits applied."""
+    no-ops. Edits replace the thread's record. Returns descriptions of
+    the edits applied."""
     hook_list = compiled.hooks.get((thread_id, pc))
     if not hook_list:
         return []
     applied = []
-    regs = machine.threads[thread_id].regs
+    t = machine.threads[thread_id]
+    regs = list(t.regs)
     for hook in hook_list:
         hook.arrivals += 1
         spec = hook.spec
@@ -137,7 +138,7 @@ def apply_tampers(
         else:
             new = old ^ (1 << value)
         regs[spec.register] = new
-        desc = f"{spec.describe_action()} ({old} -> {new})"
-        compiled.fire_log.append((thread_id, pc, desc))
-        applied.append(desc)
+        applied.append(f"{spec.describe_action()} ({old} -> {new})")
+    if applied:
+        machine.threads[thread_id] = t._replace(regs=tuple(regs))
     return applied

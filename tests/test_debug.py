@@ -51,7 +51,7 @@ def test_register_edit_refused_strictly_inside_range(load_corpus):
     session = DebugSession(load_corpus("lock_regcmp.s"), 1, ExecMode.GDB)
     # force a thread into the middle of the exclusive range (normal gdb
     # stepping can never park it there)
-    session.machine.threads[0].pc = 4
+    session.machine.threads[0] = session.machine.threads[0]._replace(pc=4)
     out = session.handle("set $R7 += 1")
     assert "refused" in out
     assert "[2, 6]" in out

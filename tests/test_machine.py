@@ -26,7 +26,7 @@ def test_init_ten_threads(load_corpus):
     assert len(m.threads) == 10
     assert all(t.status == RUNNABLE for t in m.threads)
     assert all(t.pc == p.entry for t in m.threads)
-    assert all(t.regs == [0] * 13 for t in m.threads)
+    assert all(t.regs == (0,) * 13 for t in m.threads)
     assert all(t.monitor_open() for t in m.threads)
     assert m.memory[m.sym_addr["lockVar"]] == 0
     assert m.step_count == 0
@@ -157,21 +157,24 @@ def test_cmp_flags_and_add_wrapping():
         + "    ADD R4, R2, R2\n"
     )
     m = init_machine(p, 1)
+    step(m, 0)
+    step(m, 0)
     t = m.threads[0]
-    step(m, 0)
-    step(m, 0)
     assert t.z and not t.n
     step(m, 0)
+    t = m.threads[0]
     assert not t.z and t.n
     step(m, 0)
+    t = m.threads[0]
     assert not t.z and not t.n
     z_before, n_before = t.z, t.n
     step(m, 0)
     step(m, 0)
+    t = m.threads[0]
     assert t.regs[3] == 1
     assert (t.z, t.n) == (z_before, n_before)  # ADD leaves flags alone
     step(m, 0)
-    assert t.regs[4] == 0xFFFFFFFE
+    assert m.threads[0].regs[4] == 0xFFFFFFFE
 
 
 def test_branches():

@@ -32,7 +32,7 @@ def test_load_shipped_scenarios(corpus_file):
         sc = load_scenario(corpus_file(name))
         assert sc.threads == 3
         assert sc.program == "lock_regcmp.s"
-        assert sc.has_expectations()
+        assert sc.expect_memory is not None
 
 
 def test_scenario_save_load_round_trip(tmp_path):
@@ -139,6 +139,21 @@ def test_cli_run_missing_files(corpus_file, capsys):
     assert main(["run", program, "/nonexistent.scn"]) == 1
     assert main(["run", "/nonexistent.s", str(corpus_file("normal3.scn"))]) == 1
     assert main(["run"]) == 1  # missing arguments entirely
+
+
+def test_cli_run_rejects_scenario_for_another_program(corpus_file, tmp_path, capsys):
+    program = str(corpus_file("unlocked_inc.s"))
+    assert main(["run", program, str(corpus_file("normal3.scn"))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'lock_regcmp.s'" in err
+    assert err.count("\n") == 1
+
+    # Only the file name is compared: `export` writes the path as typed.
+    scenario = load_scenario(corpus_file("normal3.scn"))
+    scenario.program = "some/dir/lock_regcmp.s"
+    path = tmp_path / "typed_path.scn"
+    save_scenario(scenario, path)
+    assert main(["run", str(corpus_file("lock_regcmp.s")), str(path)]) == 0
 
 
 def test_cli_run_expectation_mismatch(corpus_file, tmp_path, capsys):

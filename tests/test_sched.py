@@ -1,19 +1,28 @@
 from __future__ import annotations
 
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinsim import sched
+from spinsim.debug import DebugSession
 from spinsim.isa import parse_program
-from spinsim.machine import EXITED, RUNNABLE, ExecMode, init_machine, step
+from spinsim.machine import EXITED, RUNNABLE, ExecMode, ThreadState, init_machine, step
 from spinsim.sched import (
     ScheduleScript,
+    _Runner,
     explore,
     run_random,
     run_schedule,
     splitmix64,
     witness_script,
 )
+from spinsim.tamper import TamperSpec, apply_tampers, compile_tampers
 
 NORMAL3 = ScheduleScript(entries=[(0, 16), (1, 16), (2, 16)], mode=ExecMode.HW)
 
@@ -130,6 +139,44 @@ def test_clrex_on_switch_restores_os_behavior():
     res = run_schedule(m, script)
     assert m.threads[0].regs[2] == 1
     assert res.final_memory["x"] == 0
+
+
+def test_thread_records_are_values(load_corpus):
+    """A thread record taken before a step, a tamper firing, a debugger
+    register edit or a scheduler-switch CLREX is unchanged afterwards,
+    and the machine holds the new record."""
+    p = load_corpus("lock_regcmp.s")
+    fresh = ThreadState((0,) * 13, pc=p.entry)
+    lock_var = init_machine(p, 1).sym_addr["lockVar"]
+
+    m = init_machine(p, 2, ExecMode.HW)
+    held = m.threads[0]
+    step(m, 0)  # LDR R10, =lockVar
+    assert held == fresh
+    assert m.threads[0] == fresh._replace(regs=(0,) * 10 + (lock_var, 0, 0), pc=1)
+
+    compiled = compile_tampers([TamperSpec(1, "retry", 7, ("set", 5))], p, ExecMode.HW)
+    held = m.threads[1]
+    assert apply_tampers(compiled, m, 1, 0) == ["R7 = 5 (0 -> 5)"]
+    assert held == fresh
+    assert m.threads[1] == fresh._replace(regs=(0,) * 7 + (5,) + (0,) * 5)
+
+    session = DebugSession(p, 1, ExecMode.GDB)
+    held = session.machine.threads[0]
+    assert session.handle("set $R9 = 77") == "R9 = 77 (was 0)"
+    assert held == fresh
+    assert session.machine.threads[0] == fresh._replace(regs=(0,) * 9 + (77, 0, 0, 0))
+
+    m = init_machine(p, 2, ExecMode.HW)
+    runner = _Runner(m)
+    runner.clrex_on_switch = True
+    for _ in range(3):  # through the LDREX
+        runner.dispatch(0)
+    held = m.threads[0]
+    assert held.mon_granule == lock_var
+    runner.dispatch(1)
+    assert held.mon_granule == lock_var
+    assert m.threads[0] == held._replace(mon_granule=None)
 
 
 def test_splitmix64_reference_values():
@@ -279,9 +326,7 @@ def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_
         )
 
     def thaw(snap):
-        for t, s in zip(m.threads, snap[0]):
-            t.regs = list(s[0])
-            t.z, t.n, t.pc, t.mon_granule, t.mon_version, t.status, t.fault = s[1:]
+        m.threads[:] = [ThreadState(*s) for s in snap[0]]
         for a, value, version in zip(addrs, snap[1], snap[2]):
             m.memory[a], m.versions[a] = value, version
 
@@ -393,3 +438,43 @@ def straight_line_programs(draw):
 @given(program=straight_line_programs(), threads=st.integers(2, 3))
 def test_explore_matches_reference_on_random_programs(program, threads):
     assert_explorers_agree(program, threads)
+
+
+# --- The benchmark's wrapping contract ---
+
+
+def _perfbench_tracing(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_targets_resolve(monkeypatch):
+    """perfbench wraps these functions by module and name, so a rename
+    must fail here rather than in a benchmark run."""
+    targets = _perfbench_tracing(monkeypatch).TARGETS
+    assert targets
+    for target in targets:
+        owner = importlib.import_module(target.module)
+        for name in target.qualname.split("."):
+            owner = getattr(owner, name)
+        assert callable(owner), target
+
+
+def test_explore_calls_freeze_and_thaw(load_corpus, monkeypatch):
+    """perfbench counts explorer states as distinct `sched._freeze`
+    results and times `_freeze` plus `_thaw` as the keying layer."""
+    calls = {"_freeze": 0, "_thaw": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(sched, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(sched, name, counted)
+    rep = explore(load_corpus("lock_basic.s"), 2)
+    assert rep.schedules_explored > 0
+    assert calls["_freeze"] > 0 and calls["_thaw"] > 0

@@ -74,7 +74,6 @@ def test_apply_respects_thread_and_occurrence(load_corpus):
     # second arrival: occurrence=1 exhausted
     assert apply_tampers(compiled, m, 1, 2) == []
     assert m.threads[1].regs[7] == 1
-    assert len(compiled.fire_log) == 1
 
 
 def test_every_occurrence_fires_each_arrival(load_corpus):
@@ -114,6 +113,7 @@ def test_tampers_touch_registers_only(load_corpus):
         [r for i, r in enumerate(t.regs) if i != 7],
     )
     apply_tampers(compiled, m, 1, 2)
+    t = m.threads[1]
     after = (
         dict(m.memory),
         dict(m.versions),
