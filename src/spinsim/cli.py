@@ -47,7 +47,7 @@ def _load_program(path: str) -> Program:
         raise _UsageError(f"no such file: {path}")
     try:
         return parse_program(p.read_text(encoding="utf-8"))
-    except AsmError as e:
+    except (AsmError, UnicodeDecodeError) as e:
         raise _UsageError(f"{path}: {e}") from None
 
 
@@ -72,7 +72,10 @@ def cmd_run(args) -> int:
 
     print(summarize(result))
     if args.trace:
-        emit_trace(result, args.trace)
+        try:
+            emit_trace(result, args.trace)
+        except OSError as e:
+            raise _UsageError(f"cannot write trace {args.trace}: {e.strerror or e}") from None
         print(f"trace written to {args.trace}")
 
     problems = check_expectations(scenario, result)

@@ -166,9 +166,7 @@ class DebugSession:
             if cmd == "export":
                 return self._cmd_export(fields[1:])
             if cmd in ("quit", "q"):
-                self.done = True
-                out = self._flush_trace()
-                return out + str(self.result_summary())
+                return self._cmd_quit()
         except (IndexError, ValueError):
             pass
         return f"unknown or incomplete command: {line!r}\n" + HELP
@@ -267,10 +265,10 @@ class DebugSession:
 
     def _cmd_examine(self, args: list[str]) -> str:
         symbol = args[0]
-        addr = self.machine.sym_addr.get(symbol)
-        if addr is None:
+        memory = self.machine.memory_by_symbol()
+        if symbol not in memory:
             return f"no data word named {symbol!r}"
-        return f"{symbol} = {self.machine.memory[addr]}"
+        return f"{symbol} = {memory[symbol]}"
 
     def _cmd_break(self, args: list[str]) -> str:
         label = args[0]
@@ -301,11 +299,22 @@ class DebugSession:
         self.trace_path = Path(args[1])
         return f"tracing to {self.trace_path} (written on quit)"
 
-    def _flush_trace(self) -> str:
-        if self.trace_path is None:
-            return ""
-        emit_trace(self.run_result(), self.trace_path)
-        return f"trace written to {self.trace_path}\n"
+    def _cmd_quit(self) -> str:
+        """Write the trace, if one was asked for, and end the session. A
+        trace that cannot be written keeps the session, with tracing off."""
+        out = ""
+        if self.trace_path is not None:
+            path, self.trace_path = self.trace_path, None
+            try:
+                emit_trace(self.run_result(), path)
+            except OSError as e:
+                return (
+                    f"cannot write trace {path}: {e.strerror or e}; tracing is off "
+                    "(trace on <path> to retry, quit to leave)"
+                )
+            out = f"trace written to {path}\n"
+        self.done = True
+        return out + str(self.result_summary())
 
     def _cmd_export(self, args: list[str]) -> str:
         path = Path(args[0])
@@ -319,7 +328,10 @@ class DebugSession:
         if self.machine.finished():
             scenario.expect_memory = dict(self.machine.memory_by_symbol())
             scenario.expect_violations = len(self.runner.violations)
-        save_scenario(scenario, path)
+        try:
+            save_scenario(scenario, path)
+        except OSError as e:
+            return f"cannot export to {path}: {e.strerror or e}"
         return f"session exported to {path}"
 
 

@@ -4,7 +4,9 @@ Each thread's state is an immutable `ThreadState` value. `step`, the
 one transition function, puts a new record in `MachineState.threads`
 for every instruction it retires; tampers, the debugger's `set $R` and
 a scheduler-switch CLREX replace records the same way, so a record
-taken earlier never changes. Memory and versions are mutable dicts.
+taken earlier never changes. Memory is a value too: a tuple with one
+`(value, version)` pair per data word in declaration order, which each
+store replaces whole.
 
 The machine is sequentially consistent: one instruction retires at a
 time and every store is immediately visible to all threads. Reservation
@@ -55,9 +57,6 @@ MASK32 = 0xFFFFFFFF
 GRANULE_BYTES = 4
 DATA_BASE = 0x1000
 
-# Opcodes that may write memory (and bump a version).
-STORE_OPCODES = frozenset({"STR", "STREX"})
-
 RUNNABLE = "runnable"
 EXITED = "exited"
 FAULTED = "faulted"
@@ -98,8 +97,8 @@ class MachineState:
     program: Program
     mode: ExecMode
     threads: list[ThreadState]
-    memory: dict[int, int]
-    versions: dict[int, int]
+    memory: tuple[tuple[int, int], ...]   # (value, version) per data word
+    word_index: dict[int, int]            # address -> index into memory
     sym_addr: dict[str, int]
     addr_sym: dict[int, str]
     step_count: int = 0
@@ -118,7 +117,7 @@ class MachineState:
         return not self.runnable_threads()
 
     def memory_by_symbol(self) -> dict[str, int]:
-        return {sym: self.memory[addr] for sym, addr in self.sym_addr.items()}
+        return {sym: value for sym, (value, _) in zip(self.sym_addr, self.memory)}
 
     def strictly_inside_exclusive(self, pc: int) -> tuple[int, int] | None:
         """`strictly_inside` over this program's exclusive ranges."""
@@ -147,25 +146,18 @@ def init_machine(
     the program's data words and then `overrides`."""
     if thread_count < 1:
         raise ValueError("thread_count must be >= 1")
-    sym_addr = {}
-    memory = {}
-    versions = {}
-    for i, (name, value) in enumerate(program.data_words.items()):
-        addr = DATA_BASE + GRANULE_BYTES * i
-        sym_addr[name] = addr
-        memory[addr] = value & MASK32
-        versions[addr] = 0
-    if overrides:
-        for name, value in overrides.items():
-            if name not in sym_addr:
-                raise ValueError(f"override names undeclared symbol {name!r}")
-            memory[sym_addr[name]] = value & MASK32
+    values = dict(program.data_words)
+    for name, value in (overrides or {}).items():
+        if name not in values:
+            raise ValueError(f"override names undeclared symbol {name!r}")
+        values[name] = value
+    sym_addr = {name: DATA_BASE + GRANULE_BYTES * i for i, name in enumerate(values)}
     return MachineState(
         program=program,
         mode=mode,
         threads=[ThreadState((0,) * 13, pc=program.entry)] * thread_count,
-        memory=memory,
-        versions=versions,
+        memory=tuple((value & MASK32, 0) for value in values.values()),
+        word_index={addr: i for i, addr in enumerate(sym_addr.values())},
         sym_addr=sym_addr,
         addr_sym={addr: name for name, addr in sym_addr.items()},
         exclusive_ranges=program.exclusive_ranges(),
@@ -185,11 +177,12 @@ def _execute_one(
     tamper_note: str | None,
     events: list[TraceEvent] | None,
 ) -> ThreadState:
-    """Retire the instruction at `t.pc` for thread `tid`: apply its store
-    to memory, append its trace event to `events` unless that is None,
-    and return the thread's new record."""
+    """Retire the instruction at `t.pc` for thread `tid`: put the memory
+    its store leaves in `m.memory`, append its trace event to `events`
+    unless that is None, and return the thread's new record."""
     prog = m.program
     memory = m.memory
+    word_index = m.word_index
     regs, z, n, pc, granule, version, _, _ = t
     ins = prog.instructions[pc]
     op = ins.opcode
@@ -197,40 +190,44 @@ def _execute_one(
     next_pc = pc + 1
     fault = None
     rd = None                      # register written, with `value`
-    store_addr = None              # word stored, with `store_value`
+    store_word = None              # word index stored, with `store_value`
     if op in ("MOV", "CMP", "ADD"):
         kind, src = ops[-1]        # a register or an immediate
         if kind == "reg":
             src = regs[src]
 
-    # Memory maps aligned words only, so `addr not in memory` also
-    # rejects unaligned addresses.
+    # Only aligned mapped words are keys of `word_index`, so a miss is
+    # both the unmapped and the unaligned case.
     if op == "MOV":
         rd, value = ops[0][1], src
     elif op == "LDR_ADDR":
         rd, value = ops[0][1], m.sym_addr[ops[1][1]]
     elif op == "LDR_MEM" or op == "LDREX":
         addr = regs[ops[1][1]]
-        if addr not in memory:
-            fault = "bus error"
-        else:
-            rd, value = ops[0][1], memory[addr]
-            if op == "LDREX":
-                granule, version = addr, m.versions[addr]
-    elif op == "STR":
-        addr = regs[ops[1][1]]
-        if addr not in memory:
-            fault = "bus error"
-        else:
-            store_addr, store_value = addr, regs[ops[0][1]]
-    elif op == "STREX":
-        addr = regs[ops[2][1]]
-        if addr not in memory:
+        w = word_index.get(addr)
+        if w is None:
             fault = "bus error"
         else:
             rd = ops[0][1]
-            if granule == addr and version == m.versions[addr]:
-                store_addr, store_value, value = addr, regs[ops[1][1]], 0
+            value, word_version = memory[w]
+            if op == "LDREX":
+                granule, version = addr, word_version
+    elif op == "STR":
+        addr = regs[ops[1][1]]
+        w = word_index.get(addr)
+        if w is None:
+            fault = "bus error"
+        else:
+            store_word, store_value = w, regs[ops[0][1]]
+    elif op == "STREX":
+        addr = regs[ops[2][1]]
+        w = word_index.get(addr)
+        if w is None:
+            fault = "bus error"
+        else:
+            rd = ops[0][1]
+            if granule == addr and version == memory[w][1]:
+                store_word, store_value, value = w, regs[ops[1][1]], 0
             else:
                 value = 1
             granule = None
@@ -262,11 +259,12 @@ def _execute_one(
         new_regs = list(regs)
         new_regs[rd] = value
         regs = tuple(new_regs)
-    if store_addr is not None:
-        old_word = memory[store_addr]
+    if store_word is not None:
+        old_word, word_version = memory[store_word]
         store_value &= MASK32
-        memory[store_addr] = store_value
-        m.versions[store_addr] += 1
+        new_memory = list(memory)
+        new_memory[store_word] = (store_value, word_version + 1)
+        m.memory = tuple(new_memory)
 
     if events is not None:
         event = TraceEvent(
@@ -277,8 +275,8 @@ def _execute_one(
             instr=ins.text(),
             reg_writes=[] if rd is None else [(f"R{rd}", t.regs[rd], value)],
             mem_writes=(
-                [] if store_addr is None
-                else [(m.addr_sym[store_addr], old_word, store_value)]
+                [] if store_word is None
+                else [(m.addr_sym[addr], old_word, store_value)]
             ),
             tamper=tamper_note,
             fault=fault,

@@ -72,6 +72,14 @@ def _int(value, what: str) -> int:
     raise ScenarioError(f"{what} must be an integer, got {value!r}")
 
 
+def _bool(value, what: str) -> bool:
+    """A flag: a YAML boolean only, so `"false"` or `"no"` in quotes is
+    an error rather than true."""
+    if isinstance(value, bool):
+        return value
+    raise ScenarioError(f"{what} must be true or false, got {value!r}")
+
+
 def _mapping(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{what} must be a mapping, got {value!r}")
@@ -85,7 +93,7 @@ def _list(value, what: str) -> list:
 
 
 def _parse_register(value) -> int:
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     m = re.match(r"[Rr](\d+)$", str(value).strip())
     if not m:
@@ -116,7 +124,7 @@ def _parse_tamper(entry) -> TamperSpec:
     occurrence = entry.get("occurrence", 1)
     if occurrence == EVERY:
         pass
-    elif isinstance(occurrence, int):
+    elif isinstance(occurrence, int) and not isinstance(occurrence, bool):
         if occurrence < 1:
             raise ScenarioError(f"tamper occurrence must be >= 1, got {occurrence}")
     else:
@@ -153,8 +161,8 @@ def _parse_schedule(raw, mode: ExecMode) -> ScheduleScript | RandomSchedule:
     return ScheduleScript(
         entries=entries,
         mode=mode,
-        clrex_on_switch=bool(raw.get("clrex_on_switch", False)),
-        halt=bool(raw.get("halt", False)),
+        clrex_on_switch=_bool(raw.get("clrex_on_switch", False), "clrex_on_switch"),
+        halt=_bool(raw.get("halt", False), "halt"),
     )
 
 
@@ -222,7 +230,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as e:
+    except (yaml.YAMLError, UnicodeDecodeError) as e:
         raise ScenarioError(f"{path}: {e}") from None
     try:
         return parse_scenario(doc)

@@ -16,16 +16,15 @@ HW mode, memoizing on the full machine state (registers, flags, PCs,
 monitors, memory, and version counters; versions are semantic state
 because they decide reservation validity). It keys a state by a short
 tuple of ints, in the manner of SPIN's "collapse" compression (Holzmann,
-State Compression in SPIN, 1997): each thread's state and the memory
-(values plus versions) are interned once per exploration, and the key
-holds their ids. Thread records are immutable values, so `_freeze`
-interns them as they are and `_thaw` puts interned records back. One
-step changes one thread and at most memory, so a child's key reuses
-its parent's other ids, and after each child only the stepped thread
-and memory are rolled back. Every declared `.region` is treated as a
-mutual-exclusion region: a state where two threads' PCs lie inside the
-same region at once is reported with the thread schedule that reached
-it.
+State Compression in SPIN, 1997): each thread record and each memory
+tuple is interned once per exploration, and the key holds their ids.
+Both are immutable values, so `_freeze` interns what `step` left in
+the machine and `_thaw` assigns interned values back. One step changes
+one thread and at most memory, so a child's key reuses its parent's
+other ids, and after each child only the stepped thread and memory are
+put back. Every declared `.region` is treated as a mutual-exclusion
+region: a state where two threads' PCs lie inside the same region at
+once is reported with the thread schedule that reached it.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from dataclasses import dataclass, field
 from .isa import Program
 from .machine import (
     RUNNABLE,
-    STORE_OPCODES,
     ExecMode,
     MachineState,
     init_machine,
@@ -308,8 +306,8 @@ class ExploreReport:
 
 
 class _InternTable:
-    """Numbers each distinct component state (one thread, or memory with
-    its versions) in order of first sight, and maps numbers back."""
+    """Numbers each distinct component state (one thread record, or one
+    memory tuple) in order of first sight, and maps numbers back."""
 
     def __init__(self) -> None:
         self.ids: dict[tuple, int] = {}
@@ -323,58 +321,41 @@ class _InternTable:
         return i
 
 
-def _memory_part(machine: MachineState, addrs: list[int]) -> tuple:
-    return (
-        tuple([machine.memory[a] for a in addrs]),
-        tuple([machine.versions[a] for a in addrs]),
-    )
-
-
 def _freeze(
     machine: MachineState,
-    addrs: list[int],
     table: _InternTable,
     parent: tuple[int, ...] | None = None,
     tid: int = 0,
-    stored: bool = True,
 ) -> tuple[int, ...]:
-    """State key: the interned id of each thread's state, then the id of
-    memory plus versions. Given the `parent` key the machine was thawed
-    from, only thread `tid`, and memory when the step `stored`, changed,
-    so only those are re-interned."""
+    """State key: the interned id of each thread record, then the id of
+    the memory tuple. Given the `parent` key the machine was thawed
+    from, only thread `tid` and memory can have changed; memory is
+    re-interned only when the step replaced it."""
     intern = table.intern
     if parent is None:
-        key = [intern(t) for t in machine.threads]
-        key.append(intern(_memory_part(machine, addrs)))
-        return tuple(key)
+        return tuple([intern(t) for t in machine.threads] + [intern(machine.memory)])
     key = list(parent)
     key[tid] = intern(machine.threads[tid])
-    if stored:
-        key[-1] = intern(_memory_part(machine, addrs))
+    if machine.memory is not table.parts[parent[-1]]:
+        key[-1] = intern(machine.memory)
     return tuple(key)
 
 
 def _thaw(
     machine: MachineState,
     key: tuple[int, ...],
-    addrs: list[int],
     table: _InternTable,
     tid: int | None = None,
-    stored: bool = True,
 ) -> None:
     """Load state `key` into the machine: every thread, or only thread
     `tid` when the machine already holds `key` apart from that thread's
-    last step (and memory, when that step `stored`)."""
+    last step; memory either way."""
     parts = table.parts
     if tid is None:
         machine.threads[:] = [parts[i] for i in key[:-1]]
     else:
         machine.threads[tid] = parts[key[tid]]
-    if stored:
-        values, versions = parts[key[-1]]
-        for a, value, version in zip(addrs, values, versions):
-            machine.memory[a] = value
-            machine.versions[a] = version
+    machine.memory = parts[key[-1]]
 
 
 def explore(
@@ -392,17 +373,15 @@ def explore(
     stays sound for the explored prefix.
 
     The visited set holds keys of N+1 small ints: the interned ids of
-    each thread's `ThreadState` record and of the memory values plus
-    versions, so a component shared by many states is stored once. An
-    expanded state is thawed once; each child re-interns only the thread
-    it stepped (and memory after a store) and rolls back only those. `_freeze` and `_thaw` stay separate functions
-    because perfbench times them as the explorer's keying layer
-    (`sched.explore.key_s`)."""
+    each thread's `ThreadState` record and of the memory tuple, so a
+    component shared by many states is stored once. An expanded state is
+    thawed once; each child re-interns only the thread it stepped (and
+    memory, when the step stored) and puts back only those. `_freeze`
+    and `_thaw` stay separate functions because perfbench times them as
+    the explorer's keying layer (`sched.explore.key_s`)."""
     machine = init_machine(program, thread_count, ExecMode.HW, overrides)
-    addrs = sorted(machine.memory)
-    syms = [machine.addr_sym[a] for a in addrs]
+    syms = list(machine.sym_addr)
     regions = program.regions
-    stores = {i for i, ins in enumerate(program.instructions) if ins.opcode in STORE_OPCODES}
     table = _InternTable()
     parts = table.parts
 
@@ -412,7 +391,7 @@ def explore(
     schedules_explored = 0
     truncated = False
 
-    root = _freeze(machine, addrs, table)
+    root = _freeze(machine, table)
     stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [(root, ())]
     visited: set[tuple[int, ...]] = set()
 
@@ -439,7 +418,7 @@ def explore(
 
         runnable = [i for i, t in enumerate(threads) if t.status == RUNNABLE]
         if not runnable:
-            memory_key = tuple(sorted(zip(syms, parts[key[-1]][0])))
+            memory_key = tuple(sorted(zip(syms, [value for value, _ in parts[key[-1]]])))
             final_states.add(memory_key)
             witnesses.setdefault(memory_key, list(path))
             schedules_explored += 1
@@ -448,15 +427,13 @@ def explore(
             truncated = True
             continue
 
-        _thaw(machine, key, addrs, table)
+        _thaw(machine, key, table)
         for tid in reversed(runnable):
-            # In HW mode a step retires exactly the instruction at the pc.
-            stored = threads[tid].pc in stores
             step(machine, tid, collect_events=False)
-            child = _freeze(machine, addrs, table, key, tid, stored)
+            child = _freeze(machine, table, key, tid)
             if child not in visited:
                 stack.append((child, path + (tid,)))
-            _thaw(machine, key, addrs, table, tid, stored)
+            _thaw(machine, key, table, tid)
 
     return ExploreReport(
         final_states=final_states,

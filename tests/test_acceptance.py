@@ -121,7 +121,7 @@ def test_acceptance_6_gdb_stepping_cycle(load_corpus):
         runner = _Runner(machine)
         for _ in range(5):
             runner.dispatch(0)  # thread 0 acquires and parks in the region
-        assert machine.memory[machine.sym_addr["lockVar"]] == 1
+        assert machine.memory_by_symbol()["lockVar"] == 1
 
         stops = []
         groups = []

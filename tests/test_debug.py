@@ -153,6 +153,27 @@ def test_trace_on_writes_at_quit(load_corpus, tmp_path):
     assert len(lines) > 3
 
 
+def test_unwritable_paths_keep_the_session(load_corpus, tmp_path):
+    """`export` and the trace written at quit report an unwritable path
+    in one line, and the session goes on."""
+    session = DebugSession(load_corpus("lock_regcmp.s"), 1, ExecMode.GDB)
+    drive(session, ["step 3"])
+    missing = tmp_path / "missing"
+    out = session.handle(f"export {missing}/s.scn")
+    assert out.startswith(f"cannot export to {missing}/s.scn: ") and "\n" not in out
+
+    session.handle(f"trace on {missing}/t.jsonl")
+    out = session.handle("quit")
+    assert out.startswith(f"cannot write trace {missing}/t.jsonl: ") and "\n" not in out
+    assert not session.done
+    assert "stopped at pc" in session.handle("step")
+
+    session.handle(f"trace on {tmp_path}/t.jsonl")
+    out = session.handle("quit")
+    assert session.done and "trace written" in out
+    assert (tmp_path / "t.jsonl").is_file()
+
+
 def test_repl_loop_quits_on_eof(load_corpus, capsys):
     session = DebugSession(load_corpus("lock_regcmp.s"), 1, ExecMode.GDB)
     feed = iter(["step 2", "info registers"])

@@ -15,6 +15,11 @@ from spinsim.machine import (
 TWO_WORDS = ".data lockVar 0\n.data accountBalance 100\n"
 
 
+def word(machine, symbol):
+    """The (value, version) pair of a data word."""
+    return machine.memory[machine.word_index[machine.sym_addr[symbol]]]
+
+
 def run_to_completion(machine, tid):
     while machine.threads[tid].status == RUNNABLE:
         step(machine, tid)
@@ -28,7 +33,7 @@ def test_init_ten_threads(load_corpus):
     assert all(t.pc == p.entry for t in m.threads)
     assert all(t.regs == (0,) * 13 for t in m.threads)
     assert all(t.monitor_open() for t in m.threads)
-    assert m.memory[m.sym_addr["lockVar"]] == 0
+    assert m.memory_by_symbol()["lockVar"] == 0
     assert m.step_count == 0
 
 
@@ -41,9 +46,9 @@ def test_init_single_thread_minimal(load_corpus):
 def test_init_overrides(load_corpus):
     p = load_corpus("lock_regcmp.s")
     m = init_machine(p, 3, ExecMode.GDB, overrides={"accountBalance": 100})
-    assert m.memory[m.sym_addr["accountBalance"]] == 100
+    assert m.memory_by_symbol()["accountBalance"] == 100
     m = init_machine(p, 3, ExecMode.GDB, overrides={"accountBalance": 250})
-    assert m.memory[m.sym_addr["accountBalance"]] == 250
+    assert m.memory_by_symbol()["accountBalance"] == 250
     with pytest.raises(ValueError, match="undeclared symbol"):
         init_machine(p, 3, ExecMode.GDB, overrides={"nosuch": 1})
     with pytest.raises(ValueError, match="thread_count"):
@@ -58,8 +63,34 @@ def test_strex_without_reservation_fails():
     for _ in range(3):
         step(m, 0)
     assert m.threads[0].regs[2] == 1
-    assert m.memory[m.sym_addr["lockVar"]] == 0  # no write happened
-    assert m.versions[m.sym_addr["lockVar"]] == 0
+    assert m.memory_by_symbol()["lockVar"] == 0  # no write happened
+    assert word(m, "lockVar")[1] == 0
+
+
+def test_memory_is_a_value():
+    """A memory tuple taken before a storing step is unchanged afterwards
+    and the machine holds a new one; a step that stores nothing leaves
+    the same tuple in place."""
+    p = parse_program(
+        TWO_WORDS
+        + "    LDR R10, =accountBalance\n"
+        + "    LDREX R8, [R10]\n"
+        + "    MOV R9, #7\n"
+        + "    STREX R2, R9, [R10]\n"
+        + "    STR R2, [R10]\n"
+    )
+    m = init_machine(p, 1)
+    held = m.memory
+    for _ in range(3):  # LDR, LDREX, MOV
+        step(m, 0)
+    assert m.memory is held
+    step(m, 0)  # STREX succeeds
+    assert held == ((0, 0), (100, 0))
+    assert m.memory == ((0, 0), (7, 1))
+    held = m.memory
+    step(m, 0)  # STR
+    assert held == ((0, 0), (7, 1))
+    assert m.memory == ((0, 0), (0, 2))
 
 
 def test_cross_thread_invalidation_exact():
@@ -76,20 +107,19 @@ def test_cross_thread_invalidation_exact():
         + "    STR R3, [R10]\n"
     )
     m = init_machine(p, 2)
-    lock = m.sym_addr["lockVar"]
     step(m, 0)
     step(m, 0)  # A holds a reservation at version 0
     # B runs all the way through its STR (its own STREX also stores)
     for _ in range(8):
         step(m, 1)
-    version_after_b = m.versions[lock]
+    version_after_b = word(m, "lockVar")[1]
     assert version_after_b > 0
     for _ in range(3):
         step(m, 0)  # NOP, NOP, MOV
     step(m, 0)      # A: STREX
     assert m.threads[0].regs[2] == 1
-    assert m.versions[lock] == version_after_b  # A wrote nothing
-    assert m.memory[lock] == 9
+    assert word(m, "lockVar")[1] == version_after_b  # A wrote nothing
+    assert word(m, "lockVar")[0] == 9
 
 
 def test_own_str_invalidates_own_reservation():
@@ -105,7 +135,7 @@ def test_own_str_invalidates_own_reservation():
     for _ in range(5):
         step(m, 0)
     assert m.threads[0].regs[2] == 1
-    assert m.memory[m.sym_addr["x"]] == 3
+    assert m.memory_by_symbol()["x"] == 3
 
 
 def test_monitor_hygiene_second_strex_fails():
@@ -270,7 +300,7 @@ def test_gdb_loser_cycles_three_stop_points(load_corpus):
     m = init_machine(p, 2, ExecMode.GDB)
     for _ in range(5):
         step(m, 0)  # thread 0 acquires and sits in the critical section
-    assert m.memory[m.sym_addr["lockVar"]] == 1
+    assert m.memory_by_symbol()["lockVar"] == 1
     stops = []
     for _ in range(12):
         step(m, 1)
@@ -315,8 +345,7 @@ def test_step_determinism(load_corpus):
         results.append(
             (
                 tuple(tuple(t.regs) + (t.pc, t.status) for t in m.threads),
-                tuple(sorted(m.memory.items())),
-                tuple(sorted(m.versions.items())),
+                m.memory,
             )
         )
     assert results[0] == results[1]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +105,30 @@ def test_random_schedule_round_trip(tmp_path):
         ({"threads": 1, "schedule": {"random": {"seed": "abc"}}}, "seed must be an integer"),
         ({"threads": 1, "schedule": {"entries": 5}}, "entries must be a list"),
         ({"threads": 1, "schedule": {"entries": []}, "tampers": 5}, "tampers must be a list"),
+        ({"threads": 1, "schedule": {"entries": [], "halt": "false"}}, "halt must be true or false"),
+        (
+            {"threads": 1, "schedule": {"entries": [], "clrex_on_switch": "no"}},
+            "clrex_on_switch must be true or false",
+        ),
+        ({"threads": 1, "schedule": {"entries": [], "halt": 0}}, "halt must be true or false"),
+        (
+            {
+                "threads": 1,
+                "schedule": {"entries": []},
+                "tampers": [{"thread": 0, "at": "a", "register": True, "action": "set 1"}],
+            },
+            "bad register True",
+        ),
+        (
+            {
+                "threads": 1,
+                "schedule": {"entries": []},
+                "tampers": [
+                    {"thread": 0, "at": "a", "register": "R1", "action": "set 1", "occurrence": True}
+                ],
+            },
+            "bad tamper occurrence True",
+        ),
     ],
 )
 def test_scenario_validation_errors(doc, pattern):
@@ -210,6 +236,55 @@ def test_cli_run_writes_trace(corpus_file, tmp_path, capsys):
     lines = trace_path.read_bytes().decode().splitlines()
     assert json.loads(lines[0])["type"] == "header"
     assert len(lines) > 30
+
+
+def test_cli_run_unwritable_trace_is_usage_error(corpus_file, tmp_path, capsys):
+    program = str(corpus_file("lock_regcmp.s"))
+    scenario = str(corpus_file("normal3.scn"))
+    for target in (tmp_path / "missing" / "t.jsonl", tmp_path):
+        assert main(["run", program, scenario, "--trace", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert "accountBalance = 115" in captured.out  # the summary came first
+        assert captured.err.startswith(f"error: cannot write trace {target}: ")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "lint", "explore", "debug"])
+def test_cli_non_utf8_program_is_usage_error(command, corpus_file, tmp_path, capsys):
+    bad = tmp_path / "latin1.s"
+    bad.write_bytes(b"; caf\xe9\n    NOP\n")
+    argv = [command, str(bad)] + ([str(corpus_file("normal3.scn"))] if command == "run" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "utf-8" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_non_utf8_scenario_is_usage_error(corpus_file, tmp_path, capsys):
+    bad = tmp_path / "latin1.scn"
+    bad.write_bytes(b"# caf\xe9\nthreads: 1\nschedule: {entries: []}\n")
+    with pytest.raises(ScenarioError, match="utf-8"):
+        load_scenario(bad)
+    assert main(["run", str(corpus_file("lock_regcmp.s")), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "utf-8" in err
+    assert err.count("\n") == 1
+
+
+_BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_cli_run_trace_matches_golden_record(scenario, corpus_file, tmp_path, capsys):
+    """Traces stay byte-identical to the ones the benchmark recorded for
+    the corpus scenarios (its `cli-corpus` workload checks the same)."""
+    want = json.loads(_BENCH_EXPECTED.read_text(encoding="utf-8"))["cli-corpus"]["run"]
+    want = want[scenario.removesuffix(".scn")]
+    trace = tmp_path / "run.jsonl"
+    argv = ["run", str(corpus_file("lock_regcmp.s")), str(corpus_file(scenario)), "--trace", str(trace)]
+    assert main(argv) == want["exit"]
+    capsys.readouterr()
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == want["trace_sha256"]
 
 
 def test_cli_explore_exit_codes(corpus_file, capsys):

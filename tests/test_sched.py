@@ -313,7 +313,6 @@ def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_
     in full before every child step. Returns the report's fields and the
     number of states visited."""
     m = init_machine(program, thread_count, ExecMode.HW)
-    addrs = sorted(m.memory)
 
     def freeze():
         return (
@@ -321,14 +320,12 @@ def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_
                 (tuple(t.regs), t.z, t.n, t.pc, t.mon_granule, t.mon_version, t.status, t.fault)
                 for t in m.threads
             ),
-            tuple(m.memory[a] for a in addrs),
-            tuple(m.versions[a] for a in addrs),
+            m.memory,
         )
 
     def thaw(snap):
         m.threads[:] = [ThreadState(*s) for s in snap[0]]
-        for a, value, version in zip(addrs, snap[1], snap[2]):
-            m.memory[a], m.versions[a] = value, version
+        m.memory = snap[1]
 
     finals, witnesses, violations, terminal, truncated = set(), {}, [], 0, False
     stack, visited = [(freeze(), ())], set()
@@ -348,7 +345,7 @@ def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_
             violations.append(list(path))
         runnable = [i for i, t in enumerate(threads) if t[6] == RUNNABLE]
         if not runnable:
-            final = tuple(sorted((m.addr_sym[a], v) for a, v in zip(addrs, snap[1])))
+            final = tuple(sorted((sym, value) for sym, (value, _) in zip(m.sym_addr, snap[1])))
             finals.add(final)
             witnesses.setdefault(final, list(path))
             terminal += 1

@@ -103,8 +103,7 @@ def test_tampers_touch_registers_only(load_corpus):
     compiled = compile_tampers([ADD1], p, ExecMode.GDB)
     t = m.threads[1]
     before = (
-        dict(m.memory),
-        dict(m.versions),
+        m.memory,
         t.z,
         t.n,
         t.pc,
@@ -115,8 +114,7 @@ def test_tampers_touch_registers_only(load_corpus):
     apply_tampers(compiled, m, 1, 2)
     t = m.threads[1]
     after = (
-        dict(m.memory),
-        dict(m.versions),
+        m.memory,
         t.z,
         t.n,
         t.pc,
