@@ -102,8 +102,8 @@ class DebugSession:
         outcome = self.runner.dispatch(tid)
         self.dispatch_log.append(tid)
         if outcome is not None:
-            for pc, _ in outcome.executed:
-                key = (tid, pc)
+            for before, _, _, _ in outcome.executed:
+                key = (tid, before.pc)
                 self.exec_counts[key] = self.exec_counts.get(key, 0) + 1
 
     def _stop_line(self, tid: int) -> str:

@@ -39,10 +39,14 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 REGISTER_COUNT = 13  # R0..R12
 
 Operand = tuple[str, "int | str"]
+
+# Opcodes whose first operand is a destination register.
+_WRITES_FIRST_OPERAND = frozenset({"MOV", "LDR_ADDR", "LDR_MEM", "ADD", "LDREX", "STREX"})
 
 
 class AsmError(Exception):
@@ -75,6 +79,11 @@ class Instruction:
             else:  # label
                 parts.append(str(value))
         return mnemonic if not parts else f"{mnemonic} " + ", ".join(parts)
+
+    def dest(self) -> int | None:
+        """The register this instruction writes (when it does not
+        fault), or None."""
+        return self.operands[0][1] if self.opcode in _WRITES_FIRST_OPERAND else None
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,11 @@ class Program:
             if best_idx <= idx <= index:
                 best, best_idx = name, idx
         return best
+
+    @cached_property
+    def listing(self) -> list[tuple[str | None, str]]:
+        """Per pc: (nearest label, canonical text), built on first use."""
+        return [(self.nearest_label(i), ins.text()) for i, ins in enumerate(self.instructions)]
 
     def sha256(self) -> str:
         return hashlib.sha256(pretty_program(self).encode("utf-8")).hexdigest()

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .isa import Instruction, Program
+from .isa import Program
 
 REG_COMPARE = "REG_COMPARE"
 MISSING_LL_BRANCH = "MISSING_LL_BRANCH"
@@ -53,12 +53,6 @@ class Finding:
     severity: str
 
 
-def _writes_register(ins: Instruction, reg: int) -> bool:
-    if ins.opcode in ("MOV", "LDR_ADDR", "LDR_MEM", "ADD", "LDREX", "STREX"):
-        return ins.operands[0] == ("reg", reg)
-    return False
-
-
 def _first_compare_of(program: Program, start: int, reg: int) -> int | None:
     """Index of the first CMP whose left operand is `reg`, scanning the
     fall-through chain from `start`: stops at a redefinition of `reg`,
@@ -67,7 +61,7 @@ def _first_compare_of(program: Program, start: int, reg: int) -> int | None:
         ins = program.instructions[i]
         if ins.opcode == "CMP" and ins.operands[0] == ("reg", reg):
             return i
-        if _writes_register(ins, reg):
+        if ins.dest() == reg:
             return None
         if ins.opcode == "B":
             return None
@@ -84,7 +78,7 @@ def _compared_and_branched(program: Program, start: int, end: int, reg: int) -> 
                 program.instructions[j].opcode in _CONDITIONAL_BRANCHES
                 for j in range(i + 1, end)
             )
-        if _writes_register(ins, reg):
+        if ins.dest() == reg:
             return False
     return False
 
@@ -94,7 +88,7 @@ def _sc_branch_bound(program: Program, strex_index: int, reg: int) -> int:
     up to its redefinition, an unconditional branch, or the end."""
     for i in range(strex_index + 1, len(program.instructions)):
         ins = program.instructions[i]
-        if _writes_register(ins, reg):
+        if ins.dest() == reg:
             return i
         if ins.opcode == "B":
             return i + 1
@@ -135,7 +129,7 @@ def lint(program: Program) -> list[Finding]:
             )
 
     for i in ldrex_indices + strex_indices:
-        dest = instructions[i].operands[0][1]
+        dest = instructions[i].dest()
         cmp_at = _first_compare_of(program, i + 1, dest)
         if cmp_at is not None and instructions[cmp_at].operands[1][0] == "reg":
             other = instructions[cmp_at].operands[1][1]
@@ -151,7 +145,7 @@ def lint(program: Program) -> list[Finding]:
             )
 
     for i, s in ranges.items():
-        dest = instructions[i].operands[0][1]
+        dest = instructions[i].dest()
         if not _compared_and_branched(program, i + 1, s, dest):
             findings.append(
                 Finding(
@@ -165,7 +159,7 @@ def lint(program: Program) -> list[Finding]:
             )
 
     for s in strex_indices:
-        status = instructions[s].operands[0][1]
+        status = instructions[s].dest()
         bound = _sc_branch_bound(program, s, status)
         if not _compared_and_branched(program, s + 1, bound, status):
             findings.append(

@@ -1,12 +1,14 @@
 """Simulated machine state and single-step execution.
 
-Each thread's state is an immutable `ThreadState` value. `step`, the
-one transition function, puts a new record in `MachineState.threads`
-for every instruction it retires; tampers, the debugger's `set $R` and
-a scheduler-switch CLREX replace records the same way, so a record
-taken earlier never changes. Memory is a value too: a tuple with one
-`(value, version)` pair per data word in declaration order, which each
-store replaces whole.
+Each thread's state is an immutable `ThreadState` value. `step(machine,
+thread_id)`, the one transition function, puts a new record in
+`MachineState.threads` for every instruction it retires; tampers, the
+debugger's `set $R` and a scheduler-switch CLREX replace records the
+same way, between steps, so a record taken earlier never changes.
+Memory is a value too: a tuple with one `(value, version)` pair per
+data word in declaration order, which each store replaces whole. `step`
+returns the records and memories around each retired instruction; trace
+events are built from those by the scheduler, not here.
 
 The machine is sequentially consistent: one instruction retires at a
 time and every store is immediately visible to all threads. Reservation
@@ -51,7 +53,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .isa import Program
-from .trace import TraceEvent
 
 MASK32 = 0xFFFFFFFF
 GRANULE_BYTES = 4
@@ -85,10 +86,14 @@ class ThreadState(NamedTuple):
         return self.mon_granule is None
 
 
+Memory = tuple[tuple[int, int], ...]   # (value, version) per data word
+
+
 @dataclass
 class StepOutcome:
-    executed: list[tuple[int, object]]
-    events: list[TraceEvent]
+    # (record before, record after, memory before, memory after) per
+    # retired instruction
+    executed: list[tuple[ThreadState, ThreadState, Memory, Memory]]
     new_status: str
 
 
@@ -97,18 +102,12 @@ class MachineState:
     program: Program
     mode: ExecMode
     threads: list[ThreadState]
-    memory: tuple[tuple[int, int], ...]   # (value, version) per data word
+    memory: Memory
     word_index: dict[int, int]            # address -> index into memory
     sym_addr: dict[str, int]
     addr_sym: dict[int, str]
     step_count: int = 0
-    event_seq: int = 0
     exclusive_ranges: list[tuple[int, int]] = field(default_factory=list)
-
-    def next_event_index(self) -> int:
-        idx = self.event_seq
-        self.event_seq += 1
-        return idx
 
     def runnable_threads(self) -> list[int]:
         return [i for i, t in enumerate(self.threads) if t.status == RUNNABLE]
@@ -164,22 +163,10 @@ def init_machine(
     )
 
 
-def _monitor_desc(m: MachineState, granule: int | None, version: int) -> str:
-    if granule is None:
-        return "open"
-    return f"{m.addr_sym.get(granule, hex(granule))}:v{version}"
-
-
-def _execute_one(
-    m: MachineState,
-    tid: int,
-    t: ThreadState,
-    tamper_note: str | None,
-    events: list[TraceEvent] | None,
-) -> ThreadState:
-    """Retire the instruction at `t.pc` for thread `tid`: put the memory
-    its store leaves in `m.memory`, append its trace event to `events`
-    unless that is None, and return the thread's new record."""
+def _execute_one(m: MachineState, t: ThreadState) -> ThreadState:
+    """Retire the instruction at `t.pc` for a thread in state `t`: put
+    the memory its store leaves in `m.memory` and return the thread's
+    new record."""
     prog = m.program
     memory = m.memory
     word_index = m.word_index
@@ -260,73 +247,39 @@ def _execute_one(
         new_regs[rd] = value
         regs = tuple(new_regs)
     if store_word is not None:
-        old_word, word_version = memory[store_word]
-        store_value &= MASK32
         new_memory = list(memory)
-        new_memory[store_word] = (store_value, word_version + 1)
+        new_memory[store_word] = (store_value & MASK32, memory[store_word][1] + 1)
         m.memory = tuple(new_memory)
-
-    if events is not None:
-        event = TraceEvent(
-            step_index=m.next_event_index(),
-            thread_id=tid,
-            pc=pc,
-            label=prog.nearest_label(pc),
-            instr=ins.text(),
-            reg_writes=[] if rd is None else [(f"R{rd}", t.regs[rd], value)],
-            mem_writes=(
-                [] if store_word is None
-                else [(m.addr_sym[addr], old_word, store_value)]
-            ),
-            tamper=tamper_note,
-            fault=fault,
-        )
-        if granule != t.mon_granule or version != t.mon_version:
-            before = _monitor_desc(m, t.mon_granule, t.mon_version)
-            after = _monitor_desc(m, granule, version)
-            if after != before:
-                event.monitor = (before, after)
-        events.append(event)
     # tuple.__new__ skips the Python-level ThreadState.__new__, about half
     # the cost of the one record built per retired instruction.
     return tuple.__new__(ThreadState, (regs, z, n, next_pc, granule, version, status, fault))
 
 
-def step(
-    machine: MachineState,
-    thread_id: int,
-    pre_exec=None,
-    collect_events: bool = True,
-) -> StepOutcome:
+def step(machine: MachineState, thread_id: int) -> StepOutcome:
     """Advance one thread by one scheduling step.
 
     In HW mode exactly one instruction retires. In GDB mode the step
     keeps retiring instructions while the PC sits strictly inside an
     LDREX..STREX range, so the thread never stops mid-pair. Each retired
-    instruction replaces `machine.threads[thread_id]` with a new record.
+    instruction replaces `machine.threads[thread_id]` with a new record
+    and is reported in `StepOutcome.executed` with the records and
+    memories around it.
 
-    `pre_exec(thread_id, pc)`, when given, runs immediately before each
-    instruction retires (the tamper hook point), may replace the thread's
-    record, and may return a description string recorded on that
-    instruction's trace event.
+    Nothing acts between the instructions of one step: a tamper is an
+    edit made before the step starts, at a point a debugger (GDB) or a
+    fault (HW, one instruction per step) can stop at.
     """
     threads = machine.threads
     t = threads[thread_id]
     if t.status != RUNNABLE:
-        return StepOutcome([], [], t.status)
+        return StepOutcome([], t.status)
 
-    instructions = machine.program.instructions
-    executed: list[tuple[int, object]] = []
-    events: list[TraceEvent] = []
-    sink = events if collect_events else None
+    executed: list[tuple[ThreadState, ThreadState, Memory, Memory]] = []
     while True:
-        pc = t.pc
-        note = None
-        if pre_exec is not None:
-            note = pre_exec(thread_id, pc)
-            t = threads[thread_id]
-        t = threads[thread_id] = _execute_one(machine, thread_id, t, note, sink)
-        executed.append((pc, instructions[pc]))
+        memory = machine.memory
+        after = threads[thread_id] = _execute_one(machine, t)
+        executed.append((t, after, memory, machine.memory))
+        t = after
         if t.status != RUNNABLE or machine.mode is ExecMode.HW:
             break
         if strictly_inside(machine.exclusive_ranges, t.pc) is None:
@@ -337,4 +290,4 @@ def step(
             )
             break
     machine.step_count += 1
-    return StepOutcome(executed, events, t.status)
+    return StepOutcome(executed, t.status)

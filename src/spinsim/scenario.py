@@ -226,12 +226,23 @@ def parse_scenario(doc: dict) -> Scenario:
     )
 
 
+def _load_problem(e: Exception) -> str:
+    """One line for a failed load: PyYAML's problem with its 1-based line
+    and column when it marks one, else the error's first line."""
+    mark = getattr(e, "problem_mark", None)
+    if mark is not None and e.problem:
+        return f"line {mark.line + 1}, column {mark.column + 1}: {e.problem}"
+    return (str(e).splitlines() or [type(e).__name__])[0]
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except (yaml.YAMLError, UnicodeDecodeError) as e:
-        raise ScenarioError(f"{path}: {e}") from None
+    # PyYAML's constructors also raise ValueError (`2001-02-30`, `!!int x`),
+    # KeyError (`!!bool maybe`) and RecursionError (deep nesting).
+    except (yaml.YAMLError, ValueError, KeyError, RecursionError) as e:
+        raise ScenarioError(f"{path}: {_load_problem(e)}") from None
     try:
         return parse_scenario(doc)
     except ScenarioError as e:

@@ -7,6 +7,10 @@ exactly one instruction. After the script any remaining runnable
 threads are completed round-robin (lowest thread id first) unless the
 script says halt.
 
+Runs dispatch through `_Runner`. It applies tampers between steps and
+builds each trace event from the records and memories `step` reports
+around one retired instruction, numbering events by trace position.
+
 Random runs draw the next thread uniformly from the runnable set with
 SplitMix64 (the generator is recorded in the trace header so seeds are
 portable): pick = runnable[next_output % len(runnable)].
@@ -38,6 +42,7 @@ from .machine import (
     RUNNABLE,
     ExecMode,
     MachineState,
+    ThreadState,
     init_machine,
     step,
 )
@@ -102,10 +107,16 @@ class RunResult:
     header: dict
 
 
+def _monitor_text(machine: MachineState, t: ThreadState) -> str:
+    if t.mon_granule is None:
+        return "open"
+    return f"{machine.addr_sym[t.mon_granule]}:v{t.mon_version}"
+
+
 class _Runner:
     """Dispatch loop shared by scripted runs, random runs, and the
-    debugger: steps threads, applies tampers, tracks region occupancy,
-    and accumulates the trace."""
+    debugger: applies tampers, steps threads, tracks region occupancy,
+    and builds the trace."""
 
     def __init__(self, machine: MachineState, compiled: CompiledTampers | None = None):
         self.machine = machine
@@ -116,15 +127,12 @@ class _Runner:
         self._prev_tid: int | None = None
         self._occupants: list[set[int]] = [set() for _ in machine.program.regions]
 
-    def _pre_exec(self, thread_id: int, pc: int) -> str | None:
-        if self.compiled is None:
-            return None
-        edits = apply_tampers(self.compiled, self.machine, thread_id, pc)
-        return "; ".join(edits) if edits else None
-
     def dispatch(self, thread_id: int):
-        """Step one thread (or record a no-op for a finished one) and
-        return the StepOutcome, None when nothing ran."""
+        """Apply the tampers hooked at the thread's pc, step it (or record
+        a no-op for a finished one) and return the StepOutcome, None when
+        nothing ran. Tampers fire before the step only: GDB-mode hooks
+        strictly inside an exclusive range are rejected when compiled, so
+        no hook can match a later instruction of the same step."""
         m = self.machine
         if self.clrex_on_switch and self._prev_tid not in (None, thread_id):
             # OS-like behavior: descheduling drops the outgoing reservation.
@@ -134,20 +142,44 @@ class _Runner:
 
         t = m.threads[thread_id]
         if t.status != RUNNABLE:
-            self.trace.append(
-                TraceEvent(
-                    step_index=m.next_event_index(),
-                    thread_id=thread_id,
-                    pc=t.pc,
-                    label=m.program.nearest_label(t.pc) if t.pc < len(m.program.instructions) else None,
-                    noop=True,
-                )
-            )
+            listing = m.program.listing
+            label = listing[t.pc][0] if t.pc < len(listing) else None
+            self.trace.append(TraceEvent(len(self.trace), thread_id, t.pc, label, noop=True))
             return None
-        outcome = step(m, thread_id, pre_exec=self._pre_exec)
-        self.trace.extend(outcome.events)
+        note = None
+        if self.compiled is not None:
+            note = "; ".join(apply_tampers(self.compiled, m, thread_id, t.pc)) or None
+        outcome = step(m, thread_id)
+        self._trace_step(thread_id, outcome.executed, note)
         self._update_regions(thread_id)
         return outcome
+
+    def _trace_step(self, thread_id: int, executed: list, note: str | None) -> None:
+        """Append one event per instruction of a step's `executed` list,
+        with the tamper `note` on the first."""
+        m = self.machine
+        trace = self.trace
+        listing = m.program.listing
+        instructions = m.program.instructions
+        for before, after, memory_before, memory_after in executed:
+            pc = before.pc
+            label, instr = listing[pc]
+            event = TraceEvent(len(trace), thread_id, pc, label, instr, tamper=note, fault=after.fault)
+            note = None
+            rd = instructions[pc].dest()
+            if rd is not None and after.fault is None:
+                event.reg_writes = [(f"R{rd}", before.regs[rd], after.regs[rd])]
+            if memory_after is not memory_before:
+                event.mem_writes = [
+                    (sym, old[0], new[0])
+                    for sym, old, new in zip(m.sym_addr, memory_before, memory_after)
+                    if old != new
+                ]
+            if after.mon_granule != before.mon_granule or after.mon_version != before.mon_version:
+                old_text, new_text = _monitor_text(m, before), _monitor_text(m, after)
+                if new_text != old_text:
+                    event.monitor = (old_text, new_text)
+            trace.append(event)
 
     def _update_regions(self, thread_id: int) -> None:
         m = self.machine
@@ -157,7 +189,7 @@ class _Runner:
             inside = t.status == RUNNABLE and region.start <= t.pc < region.end
             if inside and thread_id not in occupants:
                 if occupants:
-                    idx = m.next_event_index()
+                    idx = len(self.trace)
                     group = tuple(sorted(occupants | {thread_id}))
                     self.violations.append(
                         Violation("mutual_exclusion", idx, group, region.name)
@@ -370,15 +402,9 @@ def explore(
     state. Reports each distinct final memory with a witness schedule,
     plus every reachable state where two or more threads occupy the
     same declared region. Bound exhaustion sets truncated; the report
-    stays sound for the explored prefix.
-
-    The visited set holds keys of N+1 small ints: the interned ids of
-    each thread's `ThreadState` record and of the memory tuple, so a
-    component shared by many states is stored once. An expanded state is
-    thawed once; each child re-interns only the thread it stepped (and
-    memory, when the step stored) and puts back only those. `_freeze`
-    and `_thaw` stay separate functions because perfbench times them as
-    the explorer's keying layer (`sched.explore.key_s`)."""
+    stays sound for the explored prefix. `_freeze` and `_thaw` stay
+    separate functions because perfbench times them as the explorer's
+    keying layer (`sched.explore.key_s`)."""
     machine = init_machine(program, thread_count, ExecMode.HW, overrides)
     syms = list(machine.sym_addr)
     regions = program.regions
@@ -429,7 +455,7 @@ def explore(
 
         _thaw(machine, key, table)
         for tid in reversed(runnable):
-            step(machine, tid, collect_events=False)
+            step(machine, tid)
             child = _freeze(machine, table, key, tid)
             if child not in visited:
                 stack.append((child, path + (tid,)))

@@ -115,8 +115,8 @@ def apply_tampers(
     pc: int,
 ) -> list[str]:
     """Apply any hooks matching (thread, pc); called by the scheduler
-    immediately before that instruction executes. Non-matching calls are
-    no-ops. Edits replace the thread's record. Returns descriptions of
+    before the step that retires that instruction. Non-matching calls
+    are no-ops. Edits replace the thread's record. Returns descriptions of
     the edits applied."""
     hook_list = compiled.hooks.get((thread_id, pc))
     if not hook_list:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsim.isa import AsmError, parse_program, pretty_program
 
@@ -150,3 +152,41 @@ def test_comments_and_case():
     p = parse_program("    mov r1, #2  // trailing\n    NOP @ other style\n")
     assert p.instructions[0].opcode == "MOV"
     assert len(p.instructions) == 2
+
+
+_GOOD_LINES = st.sampled_from(
+    [
+        "LDR R10, =lockVar", "LDREX R8, [R10]", "CMP R8, #0", "BNE lock", "MOV R9, #1",
+        "STREX R2, R9, [R10]", "STR R4, [R10]", "ADD R4, R4, #-5", "CLREX", "NOP", "B done",
+        "BEQ lock", "lock:", "done:", "a: b: NOP", ".data lockVar 0", ".region r lock done",
+        ".entry lock", "// note", "@ note",
+    ]
+)
+_BAD_LINES = st.one_of(
+    st.sampled_from(
+        [
+            "MOV R13, #1", "CMP R1, #4294967296", "LDR R1, [R1", "LDR R1, =", "BGT lock",
+            "B nowhere", "STREX R2, R9", "lock:", ".data x -2147483649", ".data x", ".data 9 1",
+            ".region r done lock", ".region s lock nowhere", ".entry done", ".entry nowhere",
+            ".text", "9:",
+        ]
+    ),
+    st.text(max_size=8),
+)
+# One line in ten is malformed, so well-formed programs with deep
+# structure (labels, regions, entries) are generated too.
+_SOURCES = st.lists(
+    st.integers(0, 9).flatmap(lambda k: _BAD_LINES if k == 5 else _GOOD_LINES), max_size=12
+).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(source=_SOURCES)
+def test_parse_program_raises_only_asm_error(source):
+    """Token soup either parses, and then round-trips through the pretty
+    printer, or fails with AsmError; no other exception escapes."""
+    try:
+        program = parse_program(source)
+    except AsmError:
+        return
+    assert parse_program(pretty_program(program)) == program

@@ -289,7 +289,7 @@ def test_gdb_winner_single_step_retires_through_strex(load_corpus):
     step(m, 0)  # MOV R7
     assert m.threads[0].pc == 2
     out = step(m, 0)
-    assert [pc for pc, _ in out.executed] == [2, 3, 4, 5, 6]
+    assert [before.pc for before, _, _, _ in out.executed] == [2, 3, 4, 5, 6]
     assert m.threads[0].pc == 7
     assert p.instructions[7].text() == "CMP R2, R7"
     assert m.threads[0].regs[2] == 0  # acquired

@@ -89,7 +89,7 @@ def machine_run(program: Program, rng: random.Random):
         tid = rng.choice(runnable)
         picks.append(tid)
         ins = program.instructions[m.threads[tid].pc]
-        step(m, tid, collect_events=False)
+        step(m, tid)
         if ins.opcode == "STREX":
             status_reg = ins.operands[0][1]
             strex_results.append((tid, m.threads[tid].regs[status_reg]))

@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsim.cli import main
 from spinsim.machine import ExecMode
@@ -136,6 +138,72 @@ def test_scenario_validation_errors(doc, pattern):
         parse_scenario(doc)
 
 
+_JUNK = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.sampled_from(["gdb", "R13", "zap 1", "every", "3", "x.s", "entries", "seed"])
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _or_junk(valid):
+    """A well-formed value nine times in ten, so deep fields get reached,
+    else junk."""
+    return st.integers(0, 9).flatmap(lambda k: _JUNK if k == 5 else valid)
+
+
+_TAMPERS = st.fixed_dictionaries(
+    {
+        "thread": _or_junk(st.integers(-1, 3)),
+        "at": _or_junk(st.sampled_from(["retry+2", "lock"])),
+        "register": _or_junk(st.sampled_from(["R7", "r12", 7, "R"])),
+        "action": _or_junk(st.sampled_from(["set 1", "add -2", "flip_bit 40", "set x", "set"])),
+    },
+    optional={"occurrence": _or_junk(st.sampled_from([1, 3, 0, "every", True]))},
+)
+_FLAGS = {"halt": _or_junk(st.booleans()), "clrex_on_switch": _or_junk(st.booleans())}
+_SCHEDULES = st.fixed_dictionaries(
+    {"entries": _or_junk(st.lists(st.lists(_or_junk(st.integers(-1, 4)), min_size=1, max_size=3)))},
+    optional=_FLAGS,
+) | st.fixed_dictionaries(
+    {"random": _or_junk(st.fixed_dictionaries({"seed": _or_junk(st.integers())}, optional={"max_steps": _JUNK}))},
+    optional=_FLAGS,
+)
+_SCENARIO_DOCS = st.fixed_dictionaries(
+    {"threads": _or_junk(st.integers(1, 4)), "schedule": _or_junk(_SCHEDULES)},
+    optional={
+        "program": _JUNK,
+        "mode": _or_junk(st.sampled_from(["gdb", "hw", "arm"])),
+        "overrides": _or_junk(st.dictionaries(st.sampled_from(["lockVar", 3]), _or_junk(st.integers()))),
+        "tampers": _or_junk(st.lists(_or_junk(_TAMPERS), max_size=3)),
+        "expectations": _or_junk(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "memory": _or_junk(st.dictionaries(st.sampled_from(["lockVar", 3]), _JUNK)),
+                    "violations": _JUNK,
+                },
+            )
+        ),
+    },
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(doc=_or_junk(_SCENARIO_DOCS))
+def test_parse_scenario_raises_only_scenario_error(doc):
+    """Any nested YAML-like value either parses or fails with
+    ScenarioError; no other exception escapes."""
+    try:
+        parse_scenario(doc)
+    except ScenarioError:
+        pass
+
+
 def test_expectations_default_to_zero_violations(load_corpus, corpus_file):
     scenario = load_scenario(corpus_file("regtamper_attack.scn"))
     scenario.expect_violations = None  # only memory expectations remain
@@ -199,13 +267,28 @@ def test_cli_run_parse_error_names_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+_MALFORMED_SCENARIOS = [
+    ("threads: [1]\nschedule: {entries: []}\n", "threads must be an integer"),
+    # YAML syntax: PyYAML's problem with its 1-based line and column
+    (
+        "threads: [1\nschedule: {entries: [[0, 1]]}\n",
+        "bad.scn: line 2, column 9: expected ',' or ']', but got ':'",
+    ),
+    # errors PyYAML raises outside YAMLError while constructing values
+    ("threads: 1\nprogram: 2001-02-30\n", "day is out of range"),
+    ("threads: !!bool maybe\n", "maybe"),
+    ("threads: " + "[" * 1000 + "]" * 1000 + "\n", "recursion"),
+]
+
+
 def test_cli_run_malformed_scenario_is_usage_error(corpus_file, tmp_path, capsys):
     bad = tmp_path / "bad.scn"
-    bad.write_text("threads: [1]\nschedule: {entries: []}\n")
-    assert main(["run", str(corpus_file("lock_regcmp.s")), str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "threads must be an integer" in err
-    assert err.count("\n") == 1
+    for text, message in _MALFORMED_SCENARIOS:
+        bad.write_text(text)
+        assert main(["run", str(corpus_file("lock_regcmp.s")), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, text
+        assert err.count("\n") == 1
 
 
 def test_cli_run_rejects_tamper_on_missing_thread(corpus_file, tmp_path, capsys):

@@ -355,7 +355,7 @@ def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_
             continue
         for tid in reversed(runnable):
             thaw(snap)
-            step(m, tid, collect_events=False)
+            step(m, tid)
             child = freeze()
             if child not in visited:
                 stack.append((child, path + (tid,)))

@@ -136,18 +136,18 @@ def test_attack_walks_loser_past_both_compares(load_corpus):
         step(m, 0)  # thread 0 holds the lock, sits in the critical region
     compiled = compile_tampers([ADD1, SET0], p, ExecMode.GDB)
 
-    def hook(tid, pc):
-        edits = apply_tampers(compiled, m, tid, pc)
-        return "; ".join(edits) if edits else None
+    def tamper_then_step():
+        apply_tampers(compiled, m, 1, m.threads[1].pc)
+        step(m, 1)
 
     for _ in range(2):
-        step(m, 1, pre_exec=hook)
+        tamper_then_step()
     assert m.threads[1].pc == 2
-    step(m, 1, pre_exec=hook)  # atomic group with R7 == 1
+    tamper_then_step()  # atomic group with R7 == 1
     assert m.threads[1].pc == 7
     assert m.threads[1].regs[2] == 0  # the conditional store *succeeded*
-    step(m, 1, pre_exec=hook)  # CMP R2, R7 with R7 reset to 0
-    step(m, 1, pre_exec=hook)  # BNE falls through
+    tamper_then_step()  # CMP R2, R7 with R7 reset to 0
+    tamper_then_step()  # BNE falls through
     assert m.threads[1].pc == 9  # inside the critical region
     assert 9 <= m.threads[0].pc < 13  # alongside thread 0
 
