@@ -35,7 +35,7 @@ from .sched import (
 )
 from .tamper import CompiledTampers, TamperError, TamperSpec, apply_tampers, compile_tampers
 from .lint import Finding, lint
-from .trace import TraceEvent, emit_trace, summarize
+from .trace import emit_trace, summarize
 
 
 def corpus_dir() -> Path:

@@ -87,8 +87,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    if args.threads < 1:
-        raise _UsageError("--threads must be >= 1")
+    for flag in ("threads", "max_steps", "max_states"):
+        if getattr(args, flag) < 1:
+            raise _UsageError(f"--{flag.replace('_', '-')} must be >= 1")
     program = _load_program(args.program)
     report = explore(
         program,

@@ -126,12 +126,7 @@ class DebugSession:
         return summarize(self.run_result())
 
     def run_result(self):
-        header = {
-            "program_sha256": self.program.sha256(),
-            "mode": self.machine.mode.value,
-            "schedule": f"script:{self._script().digest()}",
-        }
-        return self.runner.result(header)
+        return self.runner.result(f"script:{self._script().digest()}")
 
     def _script(self) -> ScheduleScript:
         script = witness_script(self.dispatch_log)

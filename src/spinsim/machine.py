@@ -277,17 +277,21 @@ def step(machine: MachineState, thread_id: int) -> StepOutcome:
     executed: list[tuple[ThreadState, ThreadState, Memory, Memory]] = []
     while True:
         memory = machine.memory
-        after = threads[thread_id] = _execute_one(machine, t)
+        after = _execute_one(machine, t)
+        more = (
+            after.status == RUNNABLE
+            and machine.mode is ExecMode.GDB
+            and strictly_inside(machine.exclusive_ranges, after.pc) is not None
+        )
+        if more and len(executed) == _ATOMIC_STEP_LIMIT - 1:
+            # The limit faults the thread in the record of the
+            # instruction that reached it, so its event names the fault.
+            after = after._replace(status=FAULTED, fault="atomic-step limit", mon_granule=None)
+            more = False
+        threads[thread_id] = after
         executed.append((t, after, memory, machine.memory))
         t = after
-        if t.status != RUNNABLE or machine.mode is ExecMode.HW:
-            break
-        if strictly_inside(machine.exclusive_ranges, t.pc) is None:
-            break
-        if len(executed) >= _ATOMIC_STEP_LIMIT:
-            t = threads[thread_id] = t._replace(
-                status=FAULTED, fault="atomic-step limit", mon_granule=None
-            )
+        if not more:
             break
     machine.step_count += 1
     return StepOutcome(executed, t.status)

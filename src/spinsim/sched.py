@@ -8,8 +8,11 @@ threads are completed round-robin (lowest thread id first) unless the
 script says halt.
 
 Runs dispatch through `_Runner`. It applies tampers between steps and
-builds each trace event from the records and memories `step` reports
-around one retired instruction, numbering events by trace position.
+appends each trace event as the JSON-ready record `emit_trace` writes
+(see `trace` for its keys), built from the records and memories `step`
+reports around one retired instruction and numbered by trace position.
+A mutual-exclusion violation is its event record, kept in `violations`
+as well as in the trace.
 
 Random runs draw the next thread uniformly from the runnable set with
 SplitMix64 (the generator is recorded in the trace header so seeds are
@@ -47,7 +50,6 @@ from .machine import (
     step,
 )
 from .tamper import CompiledTampers, TamperError, TamperSpec, apply_tampers, compile_tampers
-from .trace import TraceEvent
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -88,20 +90,12 @@ class RandomSchedule:
     max_steps: int = DEFAULT_MAX_STEPS
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    step_index: int
-    threads: tuple[int, ...]
-    region: str = ""
-
-
 @dataclass
 class RunResult:
     final_memory: dict[str, int]
     thread_statuses: list[tuple[str, str | None]]
-    violations: list[Violation]
-    trace: list[TraceEvent]
+    violations: list[dict]             # the violation records of `trace`
+    trace: list[dict]
     steps_taken: int
     truncated: bool
     header: dict
@@ -121,8 +115,8 @@ class _Runner:
     def __init__(self, machine: MachineState, compiled: CompiledTampers | None = None):
         self.machine = machine
         self.compiled = compiled
-        self.trace: list[TraceEvent] = []
-        self.violations: list[Violation] = []
+        self.trace: list[dict] = []
+        self.violations: list[dict] = []
         self.clrex_on_switch = False
         self._prev_tid: int | None = None
         self._occupants: list[set[int]] = [set() for _ in machine.program.regions]
@@ -142,9 +136,14 @@ class _Runner:
 
         t = m.threads[thread_id]
         if t.status != RUNNABLE:
+            event = {
+                "type": "event", "step": len(self.trace), "thread": thread_id, "pc": t.pc,
+                "noop": True,
+            }
             listing = m.program.listing
-            label = listing[t.pc][0] if t.pc < len(listing) else None
-            self.trace.append(TraceEvent(len(self.trace), thread_id, t.pc, label, noop=True))
+            if t.pc < len(listing) and listing[t.pc][0] is not None:
+                event["label"] = listing[t.pc][0]
+            self.trace.append(event)
             return None
         note = None
         if self.compiled is not None:
@@ -164,21 +163,31 @@ class _Runner:
         for before, after, memory_before, memory_after in executed:
             pc = before.pc
             label, instr = listing[pc]
-            event = TraceEvent(len(trace), thread_id, pc, label, instr, tamper=note, fault=after.fault)
-            note = None
+            event = {
+                "type": "event", "step": len(trace), "thread": thread_id, "pc": pc, "instr": instr
+            }
+            if label is not None:
+                event["label"] = label
+            if note is not None:
+                event["tamper"], note = note, None
+            if after.fault is not None:
+                event["fault"] = after.fault
             rd = instructions[pc].dest()
-            if rd is not None and after.fault is None:
-                event.reg_writes = [(f"R{rd}", before.regs[rd], after.regs[rd])]
+            # A faulting instruction stays at its pc and writes nothing; the
+            # atomic-step limit faults a thread after its instruction retired.
+            if rd is not None and after.pc != pc:
+                event["reg_writes"] = [[f"R{rd}", before.regs[rd], after.regs[rd]]]
             if memory_after is not memory_before:
-                event.mem_writes = [
-                    (sym, old[0], new[0])
+                # A store bumps its word's version, so the list is never empty.
+                event["mem_writes"] = [
+                    [sym, old[0], new[0]]
                     for sym, old, new in zip(m.sym_addr, memory_before, memory_after)
                     if old != new
                 ]
             if after.mon_granule != before.mon_granule or after.mon_version != before.mon_version:
                 old_text, new_text = _monitor_text(m, before), _monitor_text(m, after)
                 if new_text != old_text:
-                    event.monitor = (old_text, new_text)
+                    event["monitor"] = [old_text, new_text]
             trace.append(event)
 
     def _update_regions(self, thread_id: int) -> None:
@@ -189,20 +198,12 @@ class _Runner:
             inside = t.status == RUNNABLE and region.start <= t.pc < region.end
             if inside and thread_id not in occupants:
                 if occupants:
-                    idx = len(self.trace)
-                    group = tuple(sorted(occupants | {thread_id}))
-                    self.violations.append(
-                        Violation("mutual_exclusion", idx, group, region.name)
-                    )
-                    self.trace.append(
-                        TraceEvent(
-                            step_index=idx,
-                            thread_id=thread_id,
-                            pc=t.pc,
-                            label=region.name,
-                            violation="mutual_exclusion",
-                        )
-                    )
+                    event = {
+                        "type": "event", "step": len(self.trace), "thread": thread_id, "pc": t.pc,
+                        "label": region.name, "violation": "mutual_exclusion",
+                    }
+                    self.violations.append(event)
+                    self.trace.append(event)
                 occupants.add(thread_id)
             elif not inside and thread_id in occupants:
                 occupants.discard(thread_id)
@@ -220,7 +221,8 @@ class _Runner:
                     return True
                 self.dispatch(tid)
 
-    def result(self, header: dict, truncated: bool = False) -> RunResult:
+    def result(self, schedule: str, truncated: bool = False) -> RunResult:
+        """The run so far; `schedule` names it in the trace header."""
         m = self.machine
         return RunResult(
             final_memory=m.memory_by_symbol(),
@@ -229,7 +231,11 @@ class _Runner:
             trace=self.trace,
             steps_taken=m.step_count,
             truncated=truncated,
-            header=header,
+            header={
+                "program_sha256": m.program.sha256(),
+                "mode": m.mode.value,
+                "schedule": schedule,
+            },
         )
 
 
@@ -276,19 +282,13 @@ def run_schedule(
     runner = _Runner(machine, compiled)
     runner.clrex_on_switch = script.clrex_on_switch
 
-    header = {
-        "program_sha256": machine.program.sha256(),
-        "mode": machine.mode.value,
-        "schedule": f"script:{script.digest()}",
-    }
-
     for tid, count in script.entries:
         for _ in range(count):
             runner.dispatch(tid)
     truncated = False
     if not script.halt:
         truncated = runner.run_round_robin(max_steps)
-    return runner.result(header, truncated)
+    return runner.result(f"script:{script.digest()}", truncated)
 
 
 def run_random(
@@ -303,11 +303,6 @@ def run_random(
         raise ValueError("max_steps must be >= 1")
     compiled = _compile_tampers(tampers, machine)
     runner = _Runner(machine, compiled)
-    header = {
-        "program_sha256": machine.program.sha256(),
-        "mode": machine.mode.value,
-        "schedule": f"random:splitmix64:{seed}",
-    }
     rng = splitmix64(seed)
     truncated = False
     while True:
@@ -318,7 +313,7 @@ def run_random(
             truncated = True
             break
         runner.dispatch(runnable[next(rng) % len(runnable)])
-    return runner.result(header, truncated)
+    return runner.result(f"random:splitmix64:{seed}", truncated)
 
 
 @dataclass

@@ -13,59 +13,19 @@ Event fields (empty ones are omitted):
     type="event", step, thread, pc, label, instr,
     reg_writes=[[reg, old, new], ...], mem_writes=[[symbol, old, new], ...],
     monitor=[old, new], tamper, violation, fault, noop
+
+An event has no other form: the scheduler's runner (`sched._Runner`)
+builds each one as this record, and `RunResult.trace` holds the records
+that `emit_trace` writes.
 """
 
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 TRACE_FORMAT = 1
-
-
-@dataclass
-class TraceEvent:
-    step_index: int
-    thread_id: int
-    pc: int
-    label: str | None = None
-    instr: str | None = None
-    reg_writes: list[tuple[str, int, int]] = field(default_factory=list)
-    mem_writes: list[tuple[str, int, int]] = field(default_factory=list)
-    monitor: tuple[str, str] | None = None
-    tamper: str | None = None
-    violation: str | None = None
-    fault: str | None = None
-    noop: bool = False
-
-    def to_record(self) -> dict:
-        rec: dict = {
-            "type": "event",
-            "step": self.step_index,
-            "thread": self.thread_id,
-            "pc": self.pc,
-        }
-        if self.label is not None:
-            rec["label"] = self.label
-        if self.instr is not None:
-            rec["instr"] = self.instr
-        if self.reg_writes:
-            rec["reg_writes"] = [list(w) for w in self.reg_writes]
-        if self.mem_writes:
-            rec["mem_writes"] = [list(w) for w in self.mem_writes]
-        if self.monitor is not None:
-            rec["monitor"] = list(self.monitor)
-        if self.tamper is not None:
-            rec["tamper"] = self.tamper
-        if self.violation is not None:
-            rec["violation"] = self.violation
-        if self.fault is not None:
-            rec["fault"] = self.fault
-        if self.noop:
-            rec["noop"] = True
-        return rec
 
 
 def _dump(record: dict) -> bytes:
@@ -82,11 +42,7 @@ def emit_trace(run_result, destination=None) -> bytes:
 
     header = {"type": "header", "format": TRACE_FORMAT, "tool": f"spinsim {__version__}"}
     header.update(run_result.header)
-    buf = io.BytesIO()
-    buf.write(_dump(header))
-    for event in run_result.trace:
-        buf.write(_dump(event.to_record()))
-    data = buf.getvalue()
+    data = _dump(header) + b"".join(map(_dump, run_result.trace))
 
     if destination is None:
         pass

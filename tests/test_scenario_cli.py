@@ -380,7 +380,13 @@ def test_cli_explore_exit_codes(corpus_file, capsys):
     out = capsys.readouterr().out
     assert "accountBalance = 105" in out and "accountBalance = 110" in out
 
-    assert main(["explore", str(corpus_file("lock_basic.s")), "--threads", "0"]) == 1
+    # bounds below 1 are usage errors, not an exploration truncated at once
+    for flag, value in (("--threads", "0"), ("--max-states", "-1"), ("--max-states", "0"),
+                        ("--max-steps", "0")):
+        assert main(["explore", str(corpus_file("lock_basic.s")), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= 1\n"
     assert (
         main(
             [

@@ -81,7 +81,7 @@ def test_steps_of_finished_threads_are_recorded_noops(load_corpus):
     p = load_corpus("unlocked_inc.s")
     m = init_machine(p, 1, ExecMode.HW)
     res = run_schedule(m, ScheduleScript(entries=[(0, 10)], halt=True))
-    noops = [e for e in res.trace if e.noop]
+    noops = [e for e in res.trace if e.get("noop")]
     assert len(noops) == 6  # 4 instructions, then 6 dead steps
     assert res.final_memory["accountBalance"] == 105
 
@@ -111,9 +111,7 @@ def test_schedule_replay_determinism(load_corpus):
     results = []
     for _ in range(2):
         res = run_schedule(init_machine(p, 3, ExecMode.HW), script)
-        results.append(
-            (res.final_memory, res.steps_taken, [e.to_record() for e in res.trace])
-        )
+        results.append((res.final_memory, res.steps_taken, res.trace))
     assert results[0] == results[1]
 
 
@@ -192,7 +190,7 @@ def test_random_same_seed_identical_runs(load_corpus):
     runs = []
     for _ in range(2):
         res = run_random(init_machine(p, 3, ExecMode.HW), seed=42)
-        runs.append((res.final_memory, [e.to_record() for e in res.trace]))
+        runs.append((res.final_memory, res.trace))
     assert runs[0] == runs[1]
 
 
@@ -281,7 +279,7 @@ def test_explore_violation_witness_replays(load_corpus):
     witness = min(rep.mutual_exclusion_violations, key=len)
     m = init_machine(p, 2, ExecMode.HW)
     res = run_schedule(m, witness_script(witness))
-    assert any(v.kind == "mutual_exclusion" for v in res.violations)
+    assert any(v["violation"] == "mutual_exclusion" for v in res.violations)
 
 
 def test_explore_truncation_flag(load_corpus):
@@ -475,3 +473,36 @@ def test_explore_calls_freeze_and_thaw(load_corpus, monkeypatch):
     rep = explore(load_corpus("lock_basic.s"), 2)
     assert rep.schedules_explored > 0
     assert calls["_freeze"] > 0 and calls["_thaw"] > 0
+
+
+def test_benchmark_workloads_pass_under_the_tracer(monkeypatch, tmp_path):
+    """Every perfbench job, run once at smoke size under perfbench's
+    tracer, passes its own check, and every wrapped layer its workload
+    maps to is called: a refactor that breaks what the benchmark reads
+    fails here rather than as failed benchmark operations."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))  # sys.path is restored afterwards
+    try:
+        run = importlib.import_module("run")
+        workloads = sys.modules["workloads"]
+        monkeypatch.setattr(workloads.RandomTrace, "RUNS", 5)
+        monkeypatch.setattr(workloads.CliCorpus, "ROUNDS", 1)
+        monkeypatch.setattr(workloads.Explore3t, "CONFIGS", (("lock_basic.s", 3),))
+        S = workloads.load_spinsim(perfbench.parent)
+        expected = run.load_expected()
+        for name, workload in workloads.WORKLOADS.items():
+            wl = workload(S, 1, expected, tmp_path)
+            tracer = run.Tracer()
+            tracer.install()
+            for job in wl.jobs():
+                tracer.enable()
+                try:
+                    output = tracer.call(run.JOB_SPAN, job.run)
+                finally:
+                    tracer.disable()
+                assert job.check(output) == [], f"{name}: {job.name}"
+            assert wl.final_checks() == [], name
+            assert run.unwrapped_calls(tracer.stats(), name) == [], name
+    finally:
+        for name in ("run", "tracing", "workloads"):
+            sys.modules.pop(name, None)

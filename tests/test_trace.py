@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from spinsim.debug import DebugSession
+from spinsim.isa import parse_program
 from spinsim.machine import ExecMode, init_machine
 from spinsim.scenario import load_scenario, run_scenario
 from spinsim.sched import ScheduleScript, run_random, run_schedule
@@ -36,14 +38,14 @@ def test_trace_stream_shape(load_corpus, corpus_file, tmp_path):
 
 def test_attack_trace_has_two_tampers_and_one_violation(load_corpus, corpus_file):
     res = attack_result(load_corpus, corpus_file)
-    tamper_events = [e for e in res.trace if e.tamper is not None]
+    tamper_events = [e for e in res.trace if "tamper" in e]
     assert len(tamper_events) == 2
-    assert all(e.thread_id == 1 for e in tamper_events)
-    assert "R7 += 1" in tamper_events[0].tamper
-    assert "R7 = 0" in tamper_events[1].tamper
-    violation_events = [e for e in res.trace if e.violation is not None]
+    assert all(e["thread"] == 1 for e in tamper_events)
+    assert "R7 += 1" in tamper_events[0]["tamper"]
+    assert "R7 = 0" in tamper_events[1]["tamper"]
+    violation_events = [e for e in res.trace if "violation" in e]
     assert len(violation_events) == 1
-    assert violation_events[0].violation == "mutual_exclusion"
+    assert violation_events[0]["violation"] == "mutual_exclusion"
 
 
 def test_empty_run_emits_header_only(load_corpus):
@@ -65,7 +67,7 @@ def test_memory_write_deltas_conserve(load_corpus, corpus_file):
     res = attack_result(load_corpus, corpus_file)
     delta = 0
     for event in res.trace:
-        for sym, old, new in event.mem_writes:
+        for sym, old, new in event.get("mem_writes", []):
             if sym == "accountBalance":
                 delta += new - old
     assert delta == res.final_memory["accountBalance"] - 100
@@ -86,8 +88,6 @@ def test_summarize_normal_and_attack(load_corpus, corpus_file):
 
 
 def test_summarize_lists_faults(load_corpus):
-    from spinsim.isa import parse_program
-
     p = parse_program(".data x 1\n    LDR R1, [R0]\n")
     m = init_machine(p, 1, ExecMode.HW)
     res = run_schedule(m, ScheduleScript(entries=[(0, 1)], halt=True))
@@ -99,8 +99,71 @@ def test_events_name_mapped_symbols(load_corpus, corpus_file):
     res = attack_result(load_corpus, corpus_file)
     symbols = {"lockVar", "accountBalance"}
     for event in res.trace:
-        for sym, _, _ in event.mem_writes:
+        for sym, _, _ in event.get("mem_writes", []):
             assert sym in symbols
+
+
+_HEADER_KEYS = {"type", "format", "tool", "program_sha256", "mode", "schedule"}
+_EVENT_KEYS = {
+    "type", "step", "thread", "pc", "label", "instr", "reg_writes", "mem_writes",
+    "monitor", "tamper", "violation", "fault", "noop",
+}
+
+
+def test_trace_records_keep_the_documented_format(load_corpus, corpus_file):
+    """The trace format, held by no class: the header's keys, the event
+    keys, no empty values, and violations that are the trace's own
+    violation records."""
+    program = load_corpus("lock_regcmp.s")
+    results = [
+        run_scenario(load_scenario(corpus_file(name)), program)
+        for name in ("normal3.scn", "random_round.scn", "regtamper_attack.scn", "regtamper_disarmed.scn")
+    ]
+    session = DebugSession(program, 3, ExecMode.GDB)
+    for command in ["thread 0", "step 5", "thread 1", "step 2", "set $R7 += 1", "step",
+                    "set $R7 = 0", "step", "set scheduler-locking off", "continue"]:
+        session.handle(command)
+    results.append(session.run_result())
+    machine = init_machine(load_corpus("lock_no_ll_branch.s"), 3, ExecMode.HW)
+    results.append(run_random(machine, seed=3))
+
+    assert sum(len(res.violations) for res in results) >= 2
+    for res in results:
+        lines = [json.loads(line) for line in emit_trace(res).splitlines()]
+        assert set(lines[0]) == _HEADER_KEYS
+        assert lines[1:] == res.trace
+        for event in res.trace:
+            assert event.keys() <= _EVENT_KEYS
+            assert all(value not in (None, [], "") for value in event.values())
+        violation_records = [e for e in res.trace if "violation" in e]
+        assert len(res.violations) == len(violation_records)
+        assert all(v is e for v, e in zip(res.violations, violation_records))
+
+
+@pytest.mark.parametrize(
+    "body, reg_writes, r2",
+    [
+        ("    B loop\n", None, 0),
+        # 2,048 ADDs alternate with 2,047 Bs, so the 4,096th instruction is an ADD
+        ("    ADD R2, R2, #1\n    B loop\n", [["R2", 2047, 2048]], 2048),
+    ],
+)
+def test_atomic_step_limit_fault_is_in_the_trace(body, reg_writes, r2):
+    """A GDB step stuck in an exclusive range faults at the limit, and
+    the event of the instruction that reached it names the fault and
+    keeps that instruction's register write."""
+    p = parse_program(".data x 0\n    LDR R1, =x\n    LDREX R2, [R1]\nloop:\n" + body
+                      + "    STREX R3, R2, [R1]\n")
+    m = init_machine(p, 1, ExecMode.GDB)
+    res = run_schedule(m, ScheduleScript(entries=[(0, 2)], halt=True))
+    assert len(res.trace) == 4097  # the LDR, then 4,096 instructions in one step
+    assert [e for e in res.trace if "fault" in e] == [res.trace[-1]]
+    event = res.trace[-1]
+    assert event["fault"] == "atomic-step limit"
+    assert event["monitor"] == ["x:v0", "open"]
+    assert event.get("reg_writes") == reg_writes
+    assert res.thread_statuses == [("faulted", "atomic-step limit")]
+    assert m.threads[0].regs[2] == r2
 
 
 # Runs that the four golden `lock_regcmp.s` scenarios never produce:
