@@ -166,10 +166,52 @@ def test_atomic_step_limit_fault_is_in_the_trace(body, reg_writes, r2):
     assert m.threads[0].regs[2] == r2
 
 
+# Two locks taken in turn: two LDREX..STREX ranges, which no corpus
+# program has.
+_TWO_LOCKS = """\
+.data lockA 0
+.data lockB 0
+.data shared 0
+.region critical critical_section unlock
+.entry take_a
+
+take_a:
+    LDR R10, =lockA
+    LDREX R8, [R10]
+    CMP R8, #0
+    BNE take_a
+    MOV R9, #1
+    STREX R2, R9, [R10]
+    CMP R2, #0
+    BNE take_a
+
+take_b:
+    LDR R11, =lockB
+    LDREX R8, [R11]
+    CMP R8, #0
+    BNE take_b
+    STREX R3, R9, [R11]
+    CMP R3, #0
+    BNE take_b
+
+critical_section:
+    LDR R12, =shared
+    LDR R4, [R12]
+    ADD R4, R4, #1
+    STR R4, [R12]
+
+unlock:
+    MOV R5, #0
+    STR R5, [R11]
+    STR R5, [R10]
+"""
+
 # Runs that the four golden `lock_regcmp.s` scenarios never produce:
 # (program, threads, mode, entries, tampers, clrex_on_switch, max_steps,
-# random seed). The sha256 of each trace was recorded on the code before
-# trace events were built outside the machine, so they pin its bytes.
+# random seed); the program is a corpus file name or `_TWO_LOCKS`. The
+# sha256 of each trace was recorded on the code before trace events were
+# built outside the machine (the two-lock run: before the trace encoder
+# and the GDB stop table were prebuilt), so they pin its bytes.
 _PINNED_RUNS = {
     "bus_error_fault": (
         "lock_basic.s", 2, ExecMode.HW, [(0, 12), (1, 4)],
@@ -191,6 +233,7 @@ _PINNED_RUNS = {
     ),
     "gdb_random_8t_seed_5": ("lock_regcmp.s", 8, ExecMode.GDB, None, None, False, 100_000, 5),
     "gdb_random_8t_seed_77": ("lock_regcmp.s", 8, ExecMode.GDB, None, None, False, 100_000, 77),
+    "gdb_random_two_ranges_4t_seed_3": (_TWO_LOCKS, 4, ExecMode.GDB, None, None, False, 100_000, 3),
 }
 
 _PINNED_SHA256 = {
@@ -199,6 +242,7 @@ _PINNED_SHA256 = {
     "flip_bit_tamper": "f0e758da2a8c3333bd69b416328c0a07a660fb5b7027a49a479dcf4077a40587",
     "gdb_random_8t_seed_5": "ad53e6f0327968bec53db374608282c961188a1d83c8d4cc33ea19be38600930",
     "gdb_random_8t_seed_77": "fc08cdad23404faed40365ec3568d6d2fd6124e606da5697bd1e01235d16e251",
+    "gdb_random_two_ranges_4t_seed_3": "25d29e28c84d6b38b30b3179871beff05a9c0a1779776f229caff7b8a51498ce",
     "hw_tamper_inside_exclusive_range": "4637af0c2239d19cea89bb18eec599c7cb59122d5f398f35f9761493846b463d",
     "plain_str_two_threads": "68bbda15312b53626eab0da717762fc75955fbfa24a7d75bcf63476b7d915a69",
 }
@@ -207,7 +251,11 @@ _PINNED_SHA256 = {
 @pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
 def test_trace_bytes_pinned(name, load_corpus):
     program, threads, mode, entries, tampers, clrex, max_steps, seed = _PINNED_RUNS[name]
-    m = init_machine(load_corpus(program), threads, mode)
+    if program == _TWO_LOCKS:
+        m = init_machine(parse_program(program), threads, mode)
+        assert len(m.program.exclusive_ranges()) == 2
+    else:
+        m = init_machine(load_corpus(program), threads, mode)
     if seed is None:
         script = ScheduleScript(entries=entries, clrex_on_switch=clrex)
         res = run_schedule(m, script, tampers=tampers, max_steps=max_steps)
