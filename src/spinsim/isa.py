@@ -131,8 +131,13 @@ class Program:
         """Per pc: (nearest label, canonical text), built on first use."""
         return [(self.nearest_label(i), ins.text()) for i, ins in enumerate(self.instructions)]
 
-    def sha256(self) -> str:
+    @cached_property
+    def _sha256(self) -> str:
         return hashlib.sha256(pretty_program(self).encode("utf-8")).hexdigest()
+
+    def sha256(self) -> str:
+        """Digest of the canonical listing, computed on first use."""
+        return self._sha256
 
 
 # Operand kinds per opcode. LDR is resolved to LDR_ADDR/LDR_MEM from the

@@ -40,7 +40,9 @@ Two stepping modes:
          matching STREX: a step starting at an LDREX retires
          instructions until the PC leaves the static [LDREX, STREX]
          index range, so a stopped thread never rests strictly inside
-         an exclusive range.
+         an exclusive range. `init_machine` evaluates that stop rule
+         (`strictly_inside`) once per pc into `MachineState.inside_range`,
+         which the GDB loop and the debugger read.
 
 Faults (unmapped or unaligned access, bad branch target) halt only the
 offending thread; the rest of the machine keeps running.
@@ -49,7 +51,7 @@ offending thread; the rest of the machine keeps running.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .isa import Program
@@ -106,8 +108,10 @@ class MachineState:
     word_index: dict[int, int]            # address -> index into memory
     sym_addr: dict[str, int]
     addr_sym: dict[int, str]
+    # Per pc 0..len(instructions): `strictly_inside` over the program's
+    # exclusive ranges, i.e. the GDB stop rule as a table.
+    inside_range: tuple[tuple[int, int] | None, ...]
     step_count: int = 0
-    exclusive_ranges: list[tuple[int, int]] = field(default_factory=list)
 
     def runnable_threads(self) -> list[int]:
         return [i for i, t in enumerate(self.threads) if t.status == RUNNABLE]
@@ -120,7 +124,7 @@ class MachineState:
 
     def strictly_inside_exclusive(self, pc: int) -> tuple[int, int] | None:
         """`strictly_inside` over this program's exclusive ranges."""
-        return strictly_inside(self.exclusive_ranges, pc)
+        return self.inside_range[pc]
 
 
 def strictly_inside(ranges: list[tuple[int, int]], pc: int) -> tuple[int, int] | None:
@@ -151,6 +155,7 @@ def init_machine(
             raise ValueError(f"override names undeclared symbol {name!r}")
         values[name] = value
     sym_addr = {name: DATA_BASE + GRANULE_BYTES * i for i, name in enumerate(values)}
+    ranges = program.exclusive_ranges()
     return MachineState(
         program=program,
         mode=mode,
@@ -159,7 +164,9 @@ def init_machine(
         word_index={addr: i for i, addr in enumerate(sym_addr.values())},
         sym_addr=sym_addr,
         addr_sym={addr: name for name, addr in sym_addr.items()},
-        exclusive_ranges=program.exclusive_ranges(),
+        inside_range=tuple(
+            strictly_inside(ranges, pc) for pc in range(len(program.instructions) + 1)
+        ),
     )
 
 
@@ -281,7 +288,7 @@ def step(machine: MachineState, thread_id: int) -> StepOutcome:
         more = (
             after.status == RUNNABLE
             and machine.mode is ExecMode.GDB
-            and strictly_inside(machine.exclusive_ranges, after.pc) is not None
+            and machine.inside_range[after.pc] is not None
         )
         if more and len(executed) == _ATOMIC_STEP_LIMIT - 1:
             # The limit faults the thread in the record of the

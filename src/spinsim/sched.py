@@ -267,6 +267,8 @@ def run_schedule(
     Tampers are compiled before the run starts; in GDB mode a tamper
     aimed strictly inside an LDREX..STREX range is rejected here.
     """
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     if script.mode is not None and script.mode is not machine.mode:
         raise ValueError(
             f"schedule mode {script.mode.value!r} does not match machine mode "
@@ -400,6 +402,10 @@ def explore(
     stays sound for the explored prefix. `_freeze` and `_thaw` stay
     separate functions because perfbench times them as the explorer's
     keying layer (`sched.explore.key_s`)."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    if max_states < 1:
+        raise ValueError("max_states must be >= 1")
     machine = init_machine(program, thread_count, ExecMode.HW, overrides)
     syms = list(machine.sym_addr)
     regions = program.regions

@@ -17,19 +17,36 @@ Event fields (empty ones are omitted):
 An event has no other form: the scheduler's runner (`sched._Runner`)
 builds each one as this record, and `RunResult.trace` holds the records
 that `emit_trace` writes.
+
+Each record is one line of `json.dumps(record, sort_keys=True,
+separators=(",", ":"))`: ASCII-only, keys sorted. One encoder with those
+settings is built at import and serves every record, so emitting a
+trace does not build an encoder per record; the bytes are the same.
+Records are trees, so the encoder skips the circular-reference check.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 TRACE_FORMAT = 1
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+if c_make_encoder is None:  # pragma: no cover - CPython builds ship the C encoder
+    _encode = _ENCODER.encode
+else:
+    # Positional: markers (None: no circular check), default, string
+    # encoder, indent, key and item separators, sort_keys, skipkeys,
+    # allow_nan -- what `_ENCODER.iterencode` passes for a one-shot encode.
+    _c_encode = c_make_encoder(
+        None, _ENCODER.default, encode_basestring_ascii, None, ":", ",", True, False, True
+    )
 
-def _dump(record: dict) -> bytes:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+    def _encode(record: dict) -> str:
+        return "".join(_c_encode(record, 0))
 
 
 def emit_trace(run_result, destination=None) -> bytes:
@@ -42,7 +59,7 @@ def emit_trace(run_result, destination=None) -> bytes:
 
     header = {"type": "header", "format": TRACE_FORMAT, "tool": f"spinsim {__version__}"}
     header.update(run_result.header)
-    data = _dump(header) + b"".join(map(_dump, run_result.trace))
+    data = "\n".join([_encode(header), *map(_encode, run_result.trace), ""]).encode("utf-8")
 
     if destination is None:
         pass

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +141,14 @@ def test_entry_directive():
     assert p.entry == 1
     with pytest.raises(AsmError, match="unresolved entry label"):
         parse_program(".entry gone\n    NOP\n")
+
+
+def test_program_sha256_is_the_pretty_listing_digest_computed_once(load_corpus):
+    p = load_corpus("lock_regcmp.s")
+    want = hashlib.sha256(pretty_program(p).encode("utf-8")).hexdigest()
+    assert p.sha256() == want
+    assert p.sha256() is p.sha256()
+    assert parse_program(pretty_program(p)).sha256() == want
 
 
 def test_exclusive_range_pairing(load_corpus):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import spinsim
 from spinsim.isa import parse_program
 from spinsim.machine import (
     EXITED,
@@ -10,6 +11,7 @@ from spinsim.machine import (
     ExecMode,
     init_machine,
     step,
+    strictly_inside,
 )
 
 TWO_WORDS = ".data lockVar 0\n.data accountBalance 100\n"
@@ -349,3 +351,52 @@ def test_step_determinism(load_corpus):
             )
         )
     assert results[0] == results[1]
+
+
+# Inline programs for the stop table: two LDREX..STREX pairs, and a
+# pair followed by an LDREX that no STREX follows.
+STOP_TABLE_INLINE = {
+    "two_pairs": (
+        ".data a 0\n.data b 0\n"
+        "    LDR R10, =a\n    LDREX R1, [R10]\n    ADD R1, R1, #1\n    STREX R2, R1, [R10]\n"
+        "    LDR R11, =b\n    LDREX R3, [R11]\n    STREX R4, R3, [R11]\n    NOP\n",
+        [(1, 3), (5, 6)],
+    ),
+    "ldrex_without_strex": (
+        ".data a 0\n"
+        "    LDR R10, =a\n    LDREX R1, [R10]\n    STREX R2, R1, [R10]\n"
+        "    LDREX R3, [R10]\n    MOV R4, #1\n    NOP\n",
+        [(1, 2)],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(p.name for p in spinsim.corpus_dir().glob("*.s")) + sorted(STOP_TABLE_INLINE),
+)
+def test_stop_table_is_strictly_inside_per_pc(name, load_corpus):
+    if name in STOP_TABLE_INLINE:
+        source, want_ranges = STOP_TABLE_INLINE[name]
+        p = parse_program(source)
+        assert p.exclusive_ranges() == want_ranges
+    else:
+        p = load_corpus(name)
+    ranges = p.exclusive_ranges()
+    for mode in ExecMode:
+        m = init_machine(p, 2, mode)
+        assert len(m.inside_range) == len(p.instructions) + 1
+        for pc in range(len(p.instructions) + 1):
+            assert m.inside_range[pc] == strictly_inside(ranges, pc), (mode, pc)
+            assert m.strictly_inside_exclusive(pc) == strictly_inside(ranges, pc), (mode, pc)
+
+
+def test_gdb_step_retires_each_of_two_pairs_whole():
+    source, _ = STOP_TABLE_INLINE["two_pairs"]
+    m = init_machine(parse_program(source), 1, ExecMode.GDB)
+    stops = []
+    while m.threads[0].status == RUNNABLE:
+        step(m, 0)
+        stops.append(m.threads[0].pc)
+    assert stops == [1, 4, 5, 7, 8]
+    assert m.threads[0].regs[2] == 0 and m.threads[0].regs[4] == 0  # both STREXes stored

@@ -289,6 +289,28 @@ def test_explore_truncation_flag(load_corpus):
     assert rep.truncated
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"max_steps": 0}, "max_steps must be >= 1"),
+        ({"max_steps": -1}, "max_steps must be >= 1"),
+        ({"max_states": 0}, "max_states must be >= 1"),
+        ({"max_states": -5}, "max_states must be >= 1"),
+    ],
+)
+def test_explore_rejects_bounds_below_one(load_corpus, bounds, message):
+    with pytest.raises(ValueError, match=message):
+        explore(load_corpus("lock_basic.s"), 2, **bounds)
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_run_schedule_rejects_step_budget_below_one(load_corpus, max_steps):
+    m = init_machine(load_corpus("lock_basic.s"), 2, ExecMode.HW)
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        run_schedule(m, ScheduleScript(entries=[(0, 1)]), max_steps=max_steps)
+    assert m.step_count == 0
+
+
 def test_explore_bounded_exhaustive_scale(load_corpus):
     """Two threads, under 40 retired instructions each: enumeration
     completes without hitting any bound."""

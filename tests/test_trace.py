@@ -4,7 +4,10 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from spinsim import trace
 from spinsim.debug import DebugSession
 from spinsim.isa import parse_program
 from spinsim.machine import ExecMode, init_machine
@@ -262,3 +265,43 @@ def test_trace_bytes_pinned(name, load_corpus):
     else:
         res = run_random(m, seed=seed, max_steps=max_steps)
     assert hashlib.sha256(emit_trace(res)).hexdigest() == _PINNED_SHA256[name]
+
+
+# Trace encoder against `json.dumps` with the settings the trace format
+# names. Text mixes arbitrary code points (lone surrogates included) with
+# control characters and non-BMP ones, which ensure_ascii escapes.
+_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from("\x00\x1f\x7f\"\\\u2028\U0001f600\U0010ffff"),
+    )
+)
+_INTS = st.one_of(st.integers(), st.integers(-(2**70), 2**70), st.sampled_from([-(2**63), 2**64]))
+_VALUES = st.one_of(
+    _TEXT,
+    _INTS,
+    st.booleans(),
+    st.lists(st.tuples(_TEXT, _INTS, _INTS).map(list), max_size=4),
+)
+_RECORDS = st.dictionaries(_TEXT, _VALUES, max_size=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(record=_RECORDS)
+@example(record={"reg_writes": [["R\U0001f600", -1, 2**64]], "noop": True, "\x00": "\x1f\ud800"})
+def test_encoder_matches_json_dumps(record):
+    want = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    assert trace._encode(record) == want
+    assert trace._ENCODER.encode(record) == want
+
+
+def test_fallback_encoder_gives_the_same_trace_bytes(load_corpus, corpus_file, monkeypatch):
+    """Without the C encoder `_encode` is `_ENCODER.encode` on the
+    pure-Python path; a corpus run's trace must not change."""
+    res = attack_result(load_corpus, corpus_file)
+    want = emit_trace(res)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(trace, "_encode", trace._ENCODER.encode)
+    assert emit_trace(res) == want
+    random_run = run_random(init_machine(load_corpus("lock_regcmp.s"), 8, ExecMode.GDB), seed=5)
+    assert hashlib.sha256(emit_trace(random_run)).hexdigest() == _PINNED_SHA256["gdb_random_8t_seed_5"]
