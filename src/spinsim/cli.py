@@ -7,11 +7,19 @@
 
 Exit codes: 0 ok, 1 usage or parse error, 2 expectation mismatch or
 violations found, 3 explorer truncation, 4 lint errors.
+
+The argument parser is built once per process and reused by every
+`main` call. That is safe because the parser holds no per-call state:
+`parse_args` makes a fresh namespace each time and subparsers copy their
+results into it, the defaults (`func` included), `prog` and `--version`
+are constants, and help width is read when help is formatted, not when
+the parser is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -136,6 +144,7 @@ def cmd_debug(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="spinsim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"spinsim {__version__}")

@@ -20,6 +20,10 @@ that make the scenario self-checking:
     expectations:
       memory: {accountBalance: 110}
       violations: 1
+
+PyYAML is imported on the first `load_scenario` or `save_scenario`
+call, not with this module, so commands that never read or write a
+scenario (`lint`, `explore`, `debug` without `export`) do not pay for it.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import yaml
 
 from .isa import Program
 from .machine import ExecMode, init_machine
@@ -236,6 +238,8 @@ def _load_problem(e: Exception) -> str:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    import yaml
+
     path = Path(path)
     try:
         doc = yaml.safe_load(path.read_text(encoding="utf-8"))
@@ -250,6 +254,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
+    import yaml
+
     doc: dict = {}
     if scenario.program is not None:
         doc["program"] = scenario.program

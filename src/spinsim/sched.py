@@ -307,14 +307,15 @@ def run_random(
     runner = _Runner(machine, compiled)
     rng = splitmix64(seed)
     truncated = False
-    while True:
-        runnable = machine.runnable_threads()
-        if not runnable:
-            break
+    # Only a step that ends its thread changes the runnable set: tampers
+    # edit registers only, and random runs never clear on switch.
+    runnable = machine.runnable_threads()
+    while runnable:
         if machine.step_count >= max_steps:
             truncated = True
             break
-        runner.dispatch(runnable[next(rng) % len(runnable)])
+        if runner.dispatch(runnable[next(rng) % len(runnable)]).new_status != RUNNABLE:
+            runnable = machine.runnable_threads()
     return runner.result(f"random:splitmix64:{seed}", truncated)
 
 

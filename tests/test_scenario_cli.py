@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsim.cli import main
+import spinsim
+from spinsim.cli import build_parser, main
 from spinsim.machine import ExecMode
 from spinsim.scenario import (
     RandomSchedule,
@@ -436,3 +440,79 @@ def test_cli_debug_session(corpus_file, capsys, monkeypatch):
     assert "spinsim debugger" in out
     assert "lockVar = 1" in out  # the stepped thread took the lock
     assert main(["debug", str(corpus_file("lock_regcmp.s")), "--threads", "0"]) == 1
+
+
+def test_cli_cached_parser_carries_nothing_between_calls(corpus_file, capsys):
+    program = str(corpus_file("lock_basic.s"))
+    argvs = [
+        [],
+        ["frobnicate"],
+        ["--version"],
+        ["explore", program, "--threads", "0"],
+        ["explore", program, "--threads", "abc"],
+        ["explore", program, "--max-steps", "4", "--max-states", "7"],
+        ["explore", program],
+        ["lint", program, "--format", "records"],
+        ["lint", program],
+        ["run", str(corpus_file("lock_regcmp.s")), str(corpus_file("normal3.scn"))],
+    ]
+
+    def outcomes(order, fresh=False):
+        seen = {}
+        for i in order:
+            if fresh:
+                build_parser.cache_clear()
+            code = main(argvs[i])
+            captured = capsys.readouterr()
+            seen[i] = (code, captured.out, captured.err)
+        return seen
+
+    forward = outcomes(range(len(argvs)))
+    backward = outcomes(reversed(range(len(argvs))))
+    assert forward == backward
+    # and both match a parser built for each command alone
+    assert forward == outcomes(range(len(argvs)), fresh=True)
+    assert build_parser() is build_parser()
+
+
+def _spinsim_env() -> dict[str, str]:
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(spinsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_yaml_is_imported_only_by_scenario_io(corpus_file):
+    code = (
+        "import sys\n"
+        "import spinsim, spinsim.cli, spinsim.debug\n"
+        f"code = spinsim.cli.main(['lint', {str(corpus_file('lock_basic.s'))!r}])\n"
+        "print(code, 'yaml' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_spinsim_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
+def test_cli_run_very_deep_yaml_is_one_line_error(corpus_file, tmp_path):
+    # A C loader (libyaml) crashes the process on this input; the pure
+    # Python one raises RecursionError, which `load_scenario` reports.
+    deep = tmp_path / "deep.scn"
+    deep.write_text("threads: " + "[" * 100_000 + "]" * 100_000 + "\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "spinsim", "run", str(corpus_file("lock_regcmp.s")), str(deep)],
+        env=_spinsim_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1, done.stderr[-500:]
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
