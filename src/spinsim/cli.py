@@ -55,6 +55,8 @@ def _load_program(path: str) -> Program:
         raise _UsageError(f"no such file: {path}")
     try:
         return parse_program(p.read_text(encoding="utf-8"))
+    except OSError as e:
+        raise _UsageError(f"cannot read {path}: {e.strerror or e}") from None
     except (AsmError, UnicodeDecodeError) as e:
         raise _UsageError(f"{path}: {e}") from None
 

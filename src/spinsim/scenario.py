@@ -24,11 +24,33 @@ that make the scenario self-checking:
 PyYAML is imported on the first `load_scenario` or `save_scenario`
 call, not with this module, so commands that never read or write a
 scenario (`lint`, `explore`, `debug` without `export`) do not pay for it.
+
+`load_scenario` reads the text once and parses it with PyYAML's libyaml
+loader (`yaml.CSafeLoader`, about eight times faster on a corpus
+scenario) only when all three of these hold; otherwise it uses the
+pure-Python `yaml.safe_load`:
+
+- PyYAML was built with libyaml.
+- The text is at most `_LIBYAML_MAX_CHARS` (8,192) characters. Nesting
+  is no deeper than the text is long, and libyaml recurses on the C
+  stack: it composes 16,384 levels, but crashes the process somewhere
+  between 20,000 and 50,000.
+- The text is printable ASCII and newlines, without tabs or any of
+  `! & * ? | > % @` and the backtick. Outside that set the loaders
+  disagree: libyaml accepts tabs, `?` and control characters where
+  PyYAML rejects them, and reads a bare `!` tag as `''` where PyYAML
+  gives None. Inside it, fuzzing found no text on which they differ.
+  Every corpus scenario is inside it.
+
+The libyaml path only ever returns a `Scenario`. When it fails in any
+way, the text goes to `safe_load` as well, so the pure-Python loader
+decides every verdict and writes every message.
 """
 
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,6 +69,18 @@ from .tamper import EVERY, TamperSpec
 
 class ScenarioError(Exception):
     pass
+
+
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel = 3
+_SHOWN.maxstring = _SHOWN.maxother = 60
+
+
+def _shown(value) -> str:
+    """`value` as it appears in a `ScenarioError` message: a repr cut to
+    three levels and a few items per level, so a deep or long value
+    neither recurses nor makes the one-line message unbounded."""
+    return _SHOWN.repr(value)
 
 
 @dataclass
@@ -71,7 +105,7 @@ def _int(value, what: str) -> int:
             return int(value, 10)
         except ValueError:
             pass
-    raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    raise ScenarioError(f"{what} must be an integer, got {_shown(value)}")
 
 
 def _bool(value, what: str) -> bool:
@@ -79,58 +113,68 @@ def _bool(value, what: str) -> bool:
     an error rather than true."""
     if isinstance(value, bool):
         return value
-    raise ScenarioError(f"{what} must be true or false, got {value!r}")
+    raise ScenarioError(f"{what} must be true or false, got {_shown(value)}")
 
 
 def _mapping(value, what: str) -> dict:
     if not isinstance(value, dict):
-        raise ScenarioError(f"{what} must be a mapping, got {value!r}")
+        raise ScenarioError(f"{what} must be a mapping, got {_shown(value)}")
     return value
 
 
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
-        raise ScenarioError(f"{what} must be a list, got {value!r}")
+        raise ScenarioError(f"{what} must be a list, got {_shown(value)}")
     return value
+
+
+def _text(value, what: str) -> str:
+    """A name field. YAML reads `at: 12` as a number, so scalars are
+    taken as their text; a list or mapping is an error."""
+    if isinstance(value, (list, dict)):
+        raise ScenarioError(f"{what} must be a name, got {_shown(value)}")
+    return str(value)
 
 
 def _parse_register(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    m = re.match(r"[Rr](\d+)$", str(value).strip())
+    m = isinstance(value, str) and re.match(r"[Rr](\d+)$", value.strip())
     if not m:
-        raise ScenarioError(f"bad register {value!r}")
+        raise ScenarioError(f"bad register {_shown(value)}")
     return int(m.group(1))
 
 
 def _parse_action(value) -> tuple[str, int]:
-    parts = str(value).split()
+    parts = value.split() if isinstance(value, str) else []
     if len(parts) != 2 or parts[0] not in ("set", "add", "flip_bit"):
-        raise ScenarioError(f"bad tamper action {value!r} (want 'set V', 'add V', or 'flip_bit P')")
+        raise ScenarioError(
+            f"bad tamper action {_shown(value)} (want 'set V', 'add V', or 'flip_bit P')"
+        )
     try:
         return (parts[0], int(parts[1], 10))
     except ValueError:
-        raise ScenarioError(f"bad tamper action value in {value!r}") from None
+        raise ScenarioError(f"bad tamper action value in {_shown(value)}") from None
 
 
 def _parse_tamper(entry) -> TamperSpec:
     if not isinstance(entry, dict):
-        raise ScenarioError(f"tamper entry must be a mapping, got {entry!r}")
+        raise ScenarioError(f"tamper entry must be a mapping, got {_shown(entry)}")
     try:
         thread = _int(entry["thread"], "tamper thread")
-        location = str(entry["at"])
+        location = _text(entry["at"], "tamper location")
         register = _parse_register(entry["register"])
         action = _parse_action(entry["action"])
     except KeyError as e:
-        raise ScenarioError(f"tamper entry missing field {e.args[0]!r}") from None
+        raise ScenarioError(f"tamper entry missing field {_shown(e.args[0])}") from None
     occurrence = entry.get("occurrence", 1)
     if occurrence == EVERY:
         pass
     elif isinstance(occurrence, int) and not isinstance(occurrence, bool):
         if occurrence < 1:
-            raise ScenarioError(f"tamper occurrence must be >= 1, got {occurrence}")
+            raise ScenarioError(f"tamper occurrence must be >= 1, got {_shown(occurrence)}")
     else:
-        raise ScenarioError(f"bad tamper occurrence {occurrence!r}")
+        raise ScenarioError(f"bad tamper occurrence {_shown(occurrence)}")
     return TamperSpec(
         thread_id=thread,
         location=location,
@@ -156,7 +200,7 @@ def _parse_schedule(raw, mode: ExecMode) -> ScheduleScript | RandomSchedule:
     entries = []
     for item in _list(raw["entries"], "schedule entries"):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ScenarioError(f"schedule entry must be [thread, steps], got {item!r}")
+            raise ScenarioError(f"schedule entry must be [thread, steps], got {_shown(item)}")
         entries.append(
             (_int(item[0], "schedule entry thread"), _int(item[1], "schedule entry steps"))
         )
@@ -184,15 +228,16 @@ def parse_scenario(doc: dict) -> Scenario:
         "expectations",
     }
     if unknown:
-        raise ScenarioError(f"unknown scenario field(s): {', '.join(sorted(unknown))}")
+        names = ", ".join(sorted(_shown(k) for k in unknown))
+        raise ScenarioError(f"unknown scenario field(s): {names}")
     if "threads" not in doc:
         raise ScenarioError("scenario needs a thread count")
     threads = _int(doc["threads"], "threads")
     if threads < 1:
         raise ScenarioError("threads must be >= 1")
-    mode_name = str(doc.get("mode", "hw"))
-    if mode_name not in _MODES:
-        raise ScenarioError(f"bad mode {mode_name!r} (want gdb or hw)")
+    mode_name = doc.get("mode", "hw")
+    if not isinstance(mode_name, str) or mode_name not in _MODES:
+        raise ScenarioError(f"bad mode {_shown(mode_name)} (want gdb or hw)")
     mode = _MODES[mode_name]
     if "schedule" not in doc:
         raise ScenarioError("scenario needs a schedule")
@@ -200,7 +245,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
     overrides = {}
     for name, value in _mapping(doc.get("overrides") or {}, "overrides").items():
-        overrides[str(name)] = _int(value, f"override {name}")
+        overrides[str(name)] = _int(value, f"override {_shown(name)}")
     tampers = [_parse_tamper(t) for t in _list(doc.get("tampers") or [], "tampers")]
 
     expect_memory = None
@@ -210,7 +255,7 @@ def parse_scenario(doc: dict) -> Scenario:
         _mapping(expectations, "expectations")
         if "memory" in expectations:
             expect_memory = {
-                str(k): _int(v, f"expected {k}")
+                str(k): _int(v, f"expected {_shown(k)}")
                 for k, v in _mapping(expectations["memory"], "expected memory").items()
             }
         if "violations" in expectations:
@@ -220,7 +265,7 @@ def parse_scenario(doc: dict) -> Scenario:
         threads=threads,
         mode=mode,
         schedule=schedule,
-        program=str(doc["program"]) if "program" in doc else None,
+        program=_text(doc["program"], "program") if "program" in doc else None,
         overrides=overrides,
         tampers=tampers,
         expect_memory=expect_memory,
@@ -237,15 +282,40 @@ def _load_problem(e: Exception) -> str:
     return (str(e).splitlines() or [type(e).__name__])[0]
 
 
+_LIBYAML_MAX_CHARS = 8192
+# In ASCII text: a control character other than newline (tab included),
+# or an indicator of a tag, anchor, alias, complex key, block scalar or
+# directive, or a reserved one.
+_NOT_PLAIN = re.compile(r"[\x00-\x09\x0b-\x1f\x7f!%&*>?@`|]")
+
+
 def load_scenario(path: str | Path) -> Scenario:
     import yaml
 
     path = Path(path)
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise ScenarioError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"{path}: {e}") from None
     # PyYAML's constructors also raise ValueError (`2001-02-30`, `!!int x`),
     # KeyError (`!!bool maybe`) and RecursionError (deep nesting).
-    except (yaml.YAMLError, ValueError, KeyError, RecursionError) as e:
+    failures = (yaml.YAMLError, ValueError, KeyError, RecursionError)
+    fast = getattr(yaml, "CSafeLoader", None)
+    if (
+        fast is not None
+        and len(text) <= _LIBYAML_MAX_CHARS
+        and text.isascii()
+        and _NOT_PLAIN.search(text) is None
+    ):
+        try:
+            return parse_scenario(yaml.load(text, Loader=fast))
+        except (*failures, ScenarioError):
+            pass  # the pure-Python loader below gives the verdict and its message
+    try:
+        doc = yaml.safe_load(text)
+    except failures as e:
         raise ScenarioError(f"{path}: {_load_problem(e)}") from None
     try:
         return parse_scenario(doc)

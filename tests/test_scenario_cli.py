@@ -1,20 +1,26 @@
 from __future__ import annotations
 
+import errno
+import functools
 import hashlib
 import json
 import os
+import random
+import reprlib
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+import yaml
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinsim
 from spinsim.cli import build_parser, main
 from spinsim.machine import ExecMode
 from spinsim.scenario import (
+    _LIBYAML_MAX_CHARS,
     RandomSchedule,
     Scenario,
     ScenarioError,
@@ -197,15 +203,42 @@ _SCENARIO_DOCS = st.fixed_dictionaries(
 )
 
 
+_DEEP = functools.reduce(lambda inner, _: [inner], range(2000), [])
+_LONG = list(range(100_000))
+
+
+class _Big(dict):
+    """A document with a deep or long value. Hypothesis prints explicit
+    examples, and its printer would recurse through a deep one."""
+
+    def _repr_pretty_(self, printer, cycle):
+        printer.text(reprlib.repr(dict(self)))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(doc=_or_junk(_SCENARIO_DOCS))
+@example(doc=_Big(threads=_DEEP, schedule={"entries": []}))
+@example(doc=_Big(threads=_LONG, schedule={"entries": []}))
+@example(doc=_Big(threads=1, mode=_DEEP, schedule={"entries": []}))
+@example(doc=_Big(threads=1, schedule={"entries": [_DEEP]}))
+@example(doc=_Big(threads=1, schedule={"entries": _LONG}))
+@example(doc=_Big(threads=1, schedule={"entries": []}, program=_DEEP))
+@example(
+    doc=_Big(
+        threads=1,
+        schedule={"entries": []},
+        tampers=[{"thread": 0, "at": _DEEP, "register": _DEEP, "action": _LONG}],
+    )
+)
+@example(doc=_Big({"threads": 1, "schedule": {"entries": []}, 1: 2, "x" * 100_000: 3}))
 def test_parse_scenario_raises_only_scenario_error(doc):
-    """Any nested YAML-like value either parses or fails with
-    ScenarioError; no other exception escapes."""
+    """Any nested YAML-like value either parses or fails with a
+    one-line ScenarioError of bounded length; no other exception
+    escapes."""
     try:
         parse_scenario(doc)
-    except ScenarioError:
-        pass
+    except ScenarioError as e:
+        assert len(str(e)) < 400 and "\n" not in str(e)
 
 
 def test_expectations_default_to_zero_violations(load_corpus, corpus_file):
@@ -295,6 +328,64 @@ def test_cli_run_malformed_scenario_is_usage_error(corpus_file, tmp_path, capsys
         assert err.count("\n") == 1
 
 
+def _load_outcome(path):
+    try:
+        return load_scenario(path)
+    except ScenarioError as e:
+        return str(e)
+
+
+def _assert_loaders_agree(path, text):
+    """`load_scenario` gives the same Scenario or the same error text as
+    it does with PyYAML's pure-Python loader alone."""
+    path.write_text(text, encoding="utf-8")
+    got = _load_outcome(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delattr(yaml, "CSafeLoader", raising=False)
+        want = _load_outcome(path)
+    assert got == want, text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=_SCENARIO_DOCS, flow=st.booleans())
+def test_dumped_scenarios_load_as_with_pure_python_loader(doc, flow, tmp_path_factory):
+    text = yaml.safe_dump(doc, default_flow_style=flow, sort_keys=False)
+    _assert_loaders_agree(tmp_path_factory.mktemp("dumped") / "s.scn", text)
+
+
+# Characters libyaml and PyYAML's pure-Python loader read differently,
+# and ones that only change structure.
+_EDITS = "\t!&*?|>%@`'\"\x07\x85\ufeff[]{}:,-# \n0a~"
+
+
+def test_corpus_mutations_load_as_with_pure_python_loader(tmp_path):
+    corpus = [spinsim.corpus_path(name).read_text(encoding="utf-8") for name in ALL_SCENARIOS]
+    texts = corpus + [text for text, _ in _MALFORMED_SCENARIOS]
+    rng = random.Random(7)
+    for _ in range(300):
+        text = rng.choice(corpus)
+        text = text[text.index("program:") :]  # past the comments, where edits matter
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice(_EDITS) + text[at + rng.randint(0, 2) :]
+        texts.append(text)
+    for text in texts:
+        _assert_loaders_agree(tmp_path / "s.scn", text)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_corpus_scenarios_load_without_pure_python_loader(corpus_file, monkeypatch):
+    """Every corpus scenario takes the libyaml path: the speed of
+    `spinsim run` on the corpus depends on it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("yaml.safe_load called")
+
+    monkeypatch.setattr(yaml, "safe_load", refuse)
+    for name in ALL_SCENARIOS:
+        assert load_scenario(corpus_file(name)).program == "lock_regcmp.s"
+
+
 def test_cli_run_rejects_tamper_on_missing_thread(corpus_file, tmp_path, capsys):
     scenario = load_scenario(corpus_file("regtamper_attack.scn"))
     scenario.threads = 2
@@ -345,6 +436,34 @@ def test_cli_non_utf8_program_is_usage_error(command, corpus_file, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and "utf-8" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, unreadable",
+    [
+        (["run", "lock_regcmp.s", "normal3.scn"], "lock_regcmp.s"),
+        (["run", "lock_regcmp.s", "normal3.scn"], "normal3.scn"),
+        (["lint", "lock_regcmp.s"], "lock_regcmp.s"),
+        (["explore", "lock_regcmp.s"], "lock_regcmp.s"),
+        (["debug", "lock_regcmp.s"], "lock_regcmp.s"),
+    ],
+)
+def test_cli_unreadable_file_is_usage_error(argv, unreadable, corpus_file, monkeypatch, capsys):
+    """A file that exists but cannot be read (`/proc/self/clear_refs`
+    gives EINVAL) ends in one `error:` line."""
+    target = corpus_file(unreadable)
+    read_text = Path.read_text
+
+    def fail_on_target(self, *args, **kwargs):
+        if self == target:
+            raise OSError(errno.EINVAL, "Invalid argument")
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", fail_on_target)
+    assert main([argv[0]] + [str(corpus_file(name)) for name in argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {target}: Invalid argument\n"
 
 
 def test_cli_non_utf8_scenario_is_usage_error(corpus_file, tmp_path, capsys):
@@ -499,6 +618,27 @@ def test_yaml_is_imported_only_by_scenario_io(corpus_file):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 False"
+
+
+def test_cli_run_deepest_yaml_for_libyaml_is_one_line_error(corpus_file, tmp_path):
+    # The longest text `load_scenario` hands to libyaml, nested as deep
+    # as that length allows; the pure-Python loader gives the verdict.
+    depth = (_LIBYAML_MAX_CHARS - len("threads: \n")) // 2
+    text = "threads: " + "[" * depth + "]" * depth + "\n"
+    assert len(text) == _LIBYAML_MAX_CHARS
+    deep = tmp_path / "cap.scn"
+    deep.write_text(text)
+    done = subprocess.run(
+        [sys.executable, "-m", "spinsim", "run", str(corpus_file("lock_regcmp.s")), str(deep)],
+        env=_spinsim_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1, done.stderr[-500:]
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "recursion" in done.stderr
 
 
 def test_cli_run_very_deep_yaml_is_one_line_error(corpus_file, tmp_path):
