@@ -6,9 +6,12 @@ procedure transcribes one-to-one:
     thread <n>                switch focus
     step [k]                  step the focused thread; in gdb mode a step
                               never stops inside an LDREX..STREX range
-    set $R<j> = <v>           edit a register at the current stop
-    set $R<j> += <v>          (rejected strictly inside an exclusive
-                              range in gdb mode, like the debugger)
+    set $R<j> = <v>           edit a register at the current stop;
+    set $R<j> += <v>          refused where a scripted tamper could not
+                              sit: strictly inside an LDREX..STREX range
+                              in gdb mode (the debugger cannot stop
+                              there), or at a pc no label names (export
+                              could not replay it)
     info registers            focused thread's registers, flags, pc
     info threads              pc and nearest label for every thread
     x <symbol>                inspect a data word
@@ -23,7 +26,9 @@ procedure transcribes one-to-one:
 
 Every dispatch and register edit is recorded, so `export` produces a
 scenario file whose replay reproduces the session's final memory and
-violations exactly.
+violations exactly. `set` is a tamper: it builds the `TamperSpec` it
+records, checks it with `compile_tampers` and applies it with
+`edit_register`.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ import re
 from pathlib import Path
 
 from .isa import Program
-from .machine import MASK32, RUNNABLE, ExecMode, init_machine
+from .machine import RUNNABLE, ExecMode, init_machine
 from .sched import ScheduleScript, _Runner, witness_script
 from .scenario import Scenario, save_scenario
-from .tamper import TamperSpec
+from .tamper import TamperError, TamperSpec, compile_tampers, edit_register
 from .trace import emit_trace, summarize
 
 _CONTINUE_BUDGET = 100_000
@@ -47,6 +52,9 @@ HELP = """commands:
   step [k]              step the focused thread k times (default 1)
   set $R<j> = <v>       set a register of the focused thread
   set $R<j> += <v>      adjust a register of the focused thread
+                        (refused in gdb mode strictly inside an LDREX..STREX
+                        range, where a debugger cannot stop, and at a pc no
+                        label names, which export could not replay)
   set scheduler-locking step|off
   info registers        show the focused thread's registers
   info threads          show every thread's position
@@ -203,37 +211,25 @@ class DebugSession:
         if not m:
             return "usage: set $R<j> = <v> | set $R<j> += <v> | set scheduler-locking step|off"
         reg, op, value = int(m.group(1)), m.group(2), int(m.group(3))
-        if not 0 <= reg <= 12:
-            return f"register R{reg} out of range R0..R12"
         t = self.machine.threads[self.focus]
         if t.status != RUNNABLE:
             return f"cannot set registers: {self._stop_line(self.focus)}"
-        if self.machine.mode is ExecMode.GDB:
-            inside = self.machine.strictly_inside_exclusive(t.pc)
-            if inside is not None:
-                l, s = inside
-                return (
-                    f"refused: thread {self.focus} is stopped strictly inside the "
-                    f"exclusive range [{l}, {s}] (between LDREX and STREX); in gdb "
-                    "mode registers may only be edited at stop points outside the "
-                    "range or at its entry"
-                )
-        old = t.regs[reg]
-        new = (value if op == "=" else old + value) & MASK32
-        regs = list(t.regs)
-        regs[reg] = new
-        self.machine.threads[self.focus] = t._replace(regs=tuple(regs))
         location = location_for_pc(self.program, t.pc)
-        if location is not None:
-            self.recorded_tampers.append(
-                TamperSpec(
-                    thread_id=self.focus,
-                    location=location,
-                    register=reg,
-                    action=("set", new) if op == "=" else ("add", value),
-                    occurrence=self.exec_counts.get((self.focus, t.pc), 0) + 1,
-                )
-            )
+        if location is None:
+            return f"refused: no label names pc {t.pc}, so export could not replay the edit"
+        spec = TamperSpec(
+            thread_id=self.focus,
+            location=location,
+            register=reg,
+            action=("set" if op == "=" else "add", value),
+            occurrence=self.exec_counts.get((self.focus, t.pc), 0) + 1,
+        )
+        try:
+            compile_tampers([spec], self.program, self.machine.mode)
+        except TamperError as e:
+            return f"refused: {e}"
+        old, new = edit_register(self.machine, spec)
+        self.recorded_tampers.append(spec)
         return f"R{reg} = {new} (was {old})"
 
     def _cmd_info(self, args: list[str]) -> str:

@@ -42,6 +42,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 REGISTER_COUNT = 13  # R0..R12
+GRANULE_BYTES = 4
+DATA_BASE = 0x1000
 
 Operand = tuple[str, "int | str"]
 
@@ -117,6 +119,28 @@ class Program:
                 ranges.append((i, following[0]))
         return ranges
 
+    @cached_property
+    def inside_range(self) -> tuple[tuple[int, int] | None, ...]:
+        """The GDB stop table: `strictly_inside` over the exclusive
+        ranges, for each pc 0..len(instructions)."""
+        ranges = self.exclusive_ranges()
+        return tuple(strictly_inside(ranges, pc) for pc in range(len(self.instructions) + 1))
+
+    @cached_property
+    def sym_addr(self) -> dict[str, int]:
+        """Link-time layout: the i-th declared data word is at DATA_BASE + 4i."""
+        return {name: DATA_BASE + GRANULE_BYTES * i for i, name in enumerate(self.data_words)}
+
+    @cached_property
+    def word_index(self) -> dict[int, int]:
+        """Address -> memory index; a miss is an unmapped or unaligned address."""
+        return {addr: i for i, addr in enumerate(self.sym_addr.values())}
+
+    @cached_property
+    def addr_sym(self) -> dict[int, str]:
+        """Address -> data symbol, the inverse of `sym_addr`."""
+        return {addr: name for name, addr in self.sym_addr.items()}
+
     def nearest_label(self, index: int) -> str | None:
         """Closest label at or before `index` (latest-declared wins on ties)."""
         best = None
@@ -138,6 +162,17 @@ class Program:
     def sha256(self) -> str:
         """Digest of the canonical listing, computed on first use."""
         return self._sha256
+
+
+def strictly_inside(ranges: list[tuple[int, int]], pc: int) -> tuple[int, int] | None:
+    """The GDB stop-point rule: the range (l, s) of `ranges` with
+    l < pc <= s, i.e. past the LDREX but not past the STREX, or None
+    when a debugger may stop at `pc`. The LDREX index itself is a legal
+    stop point."""
+    for l, s in ranges:
+        if l < pc <= s:
+            return (l, s)
+    return None
 
 
 # Operand kinds per opcode. LDR is resolved to LDR_ADDR/LDR_MEM from the

@@ -40,9 +40,9 @@ Two stepping modes:
          matching STREX: a step starting at an LDREX retires
          instructions until the PC leaves the static [LDREX, STREX]
          index range, so a stopped thread never rests strictly inside
-         an exclusive range. `init_machine` evaluates that stop rule
-         (`strictly_inside`) once per pc into `MachineState.inside_range`,
-         which the GDB loop and the debugger read.
+         an exclusive range. It reads that rule from the program's stop
+         table, `Program.inside_range`, which `Program` builds once, as
+         it does the data layout: `MachineState` holds run state only.
 
 Faults (unmapped or unaligned access, bad branch target) halt only the
 offending thread; the rest of the machine keeps running.
@@ -57,8 +57,6 @@ from typing import NamedTuple
 from .isa import Program
 
 MASK32 = 0xFFFFFFFF
-GRANULE_BYTES = 4
-DATA_BASE = 0x1000
 
 RUNNABLE = "runnable"
 EXITED = "exited"
@@ -105,12 +103,6 @@ class MachineState:
     mode: ExecMode
     threads: list[ThreadState]
     memory: Memory
-    word_index: dict[int, int]            # address -> index into memory
-    sym_addr: dict[str, int]
-    addr_sym: dict[int, str]
-    # Per pc 0..len(instructions): `strictly_inside` over the program's
-    # exclusive ranges, i.e. the GDB stop rule as a table.
-    inside_range: tuple[tuple[int, int] | None, ...]
     step_count: int = 0
 
     def runnable_threads(self) -> list[int]:
@@ -120,22 +112,7 @@ class MachineState:
         return not self.runnable_threads()
 
     def memory_by_symbol(self) -> dict[str, int]:
-        return {sym: value for sym, (value, _) in zip(self.sym_addr, self.memory)}
-
-    def strictly_inside_exclusive(self, pc: int) -> tuple[int, int] | None:
-        """`strictly_inside` over this program's exclusive ranges."""
-        return self.inside_range[pc]
-
-
-def strictly_inside(ranges: list[tuple[int, int]], pc: int) -> tuple[int, int] | None:
-    """The GDB stop-point rule: the range (l, s) of `ranges` with
-    l < pc <= s, i.e. past the LDREX but not past the STREX, or None
-    when a debugger may stop at `pc`. The LDREX index itself is a legal
-    stop point."""
-    for l, s in ranges:
-        if l < pc <= s:
-            return (l, s)
-    return None
+        return {sym: value for sym, (value, _) in zip(self.program.data_words, self.memory)}
 
 
 def init_machine(
@@ -154,19 +131,11 @@ def init_machine(
         if name not in values:
             raise ValueError(f"override names undeclared symbol {name!r}")
         values[name] = value
-    sym_addr = {name: DATA_BASE + GRANULE_BYTES * i for i, name in enumerate(values)}
-    ranges = program.exclusive_ranges()
     return MachineState(
         program=program,
         mode=mode,
         threads=[ThreadState((0,) * 13, pc=program.entry)] * thread_count,
         memory=tuple((value & MASK32, 0) for value in values.values()),
-        word_index={addr: i for i, addr in enumerate(sym_addr.values())},
-        sym_addr=sym_addr,
-        addr_sym={addr: name for name, addr in sym_addr.items()},
-        inside_range=tuple(
-            strictly_inside(ranges, pc) for pc in range(len(program.instructions) + 1)
-        ),
     )
 
 
@@ -176,7 +145,7 @@ def _execute_one(m: MachineState, t: ThreadState) -> ThreadState:
     new record."""
     prog = m.program
     memory = m.memory
-    word_index = m.word_index
+    word_index = prog.word_index
     regs, z, n, pc, granule, version, _, _ = t
     ins = prog.instructions[pc]
     op = ins.opcode
@@ -190,12 +159,10 @@ def _execute_one(m: MachineState, t: ThreadState) -> ThreadState:
         if kind == "reg":
             src = regs[src]
 
-    # Only aligned mapped words are keys of `word_index`, so a miss is
-    # both the unmapped and the unaligned case.
     if op == "MOV":
         rd, value = ops[0][1], src
     elif op == "LDR_ADDR":
-        rd, value = ops[0][1], m.sym_addr[ops[1][1]]
+        rd, value = ops[0][1], prog.sym_addr[ops[1][1]]
     elif op == "LDR_MEM" or op == "LDREX":
         addr = regs[ops[1][1]]
         w = word_index.get(addr)
@@ -282,14 +249,11 @@ def step(machine: MachineState, thread_id: int) -> StepOutcome:
         return StepOutcome([], t.status)
 
     executed: list[tuple[ThreadState, ThreadState, Memory, Memory]] = []
+    inside = machine.program.inside_range if machine.mode is ExecMode.GDB else None
     while True:
         memory = machine.memory
         after = _execute_one(machine, t)
-        more = (
-            after.status == RUNNABLE
-            and machine.mode is ExecMode.GDB
-            and machine.inside_range[after.pc] is not None
-        )
+        more = after.status == RUNNABLE and inside is not None and inside[after.pc] is not None
         if more and len(executed) == _ATOMIC_STEP_LIMIT - 1:
             # The limit faults the thread in the record of the
             # instruction that reached it, so its event names the fault.

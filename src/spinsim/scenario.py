@@ -21,6 +21,9 @@ that make the scenario self-checking:
       memory: {accountBalance: 110}
       violations: 1
 
+A field outside this layout, at any level, is an error, as is `random`
+beside `entries`, `halt` or `clrex_on_switch`.
+
 PyYAML is imported on the first `load_scenario` or `save_scenario`
 call, not with this module, so commands that never read or write a
 scenario (`lint`, `explore`, `debug` without `export`) do not pay for it.
@@ -122,6 +125,14 @@ def _mapping(value, what: str) -> dict:
     return value
 
 
+def _fields(value, what: str, known: tuple[str, ...]) -> None:
+    """Check that `value` is a mapping whose keys are all in `known`, so
+    a misspelt field is an error rather than ignored."""
+    for key in _mapping(value, what):
+        if key not in known:
+            raise ScenarioError(f"unknown {what} field {_shown(key)} (want {', '.join(known)})")
+
+
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ScenarioError(f"{what} must be a list, got {_shown(value)}")
@@ -158,8 +169,7 @@ def _parse_action(value) -> tuple[str, int]:
 
 
 def _parse_tamper(entry) -> TamperSpec:
-    if not isinstance(entry, dict):
-        raise ScenarioError(f"tamper entry must be a mapping, got {_shown(entry)}")
+    _fields(entry, "tamper entry", ("thread", "at", "register", "action", "occurrence"))
     try:
         thread = _int(entry["thread"], "tamper thread")
         location = _text(entry["at"], "tamper location")
@@ -188,15 +198,18 @@ def _parse_schedule(raw, mode: ExecMode) -> ScheduleScript | RandomSchedule:
     if not isinstance(raw, dict):
         raise ScenarioError("schedule must be a mapping with 'entries' or 'random'")
     if "random" in raw:
+        _fields(raw, "random schedule", ("random",))
         rnd = raw["random"]
         if not isinstance(rnd, dict) or "seed" not in rnd:
             raise ScenarioError("random schedule needs a seed")
+        _fields(rnd, "random", ("seed", "max_steps"))
         return RandomSchedule(
             seed=_int(rnd["seed"], "random seed"),
             max_steps=_int(rnd.get("max_steps", DEFAULT_MAX_STEPS), "random max_steps"),
         )
     if "entries" not in raw:
         raise ScenarioError("schedule must have 'entries' or 'random'")
+    _fields(raw, "schedule", ("entries", "halt", "clrex_on_switch"))
     entries = []
     for item in _list(raw["entries"], "schedule entries"):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
@@ -218,18 +231,11 @@ _MODES = {"gdb": ExecMode.GDB, "hw": ExecMode.HW}
 def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a YAML mapping")
-    unknown = set(doc) - {
-        "program",
-        "threads",
-        "mode",
-        "overrides",
-        "schedule",
-        "tampers",
-        "expectations",
-    }
-    if unknown:
-        names = ", ".join(sorted(_shown(k) for k in unknown))
-        raise ScenarioError(f"unknown scenario field(s): {names}")
+    _fields(
+        doc,
+        "scenario",
+        ("program", "threads", "mode", "overrides", "schedule", "tampers", "expectations"),
+    )
     if "threads" not in doc:
         raise ScenarioError("scenario needs a thread count")
     threads = _int(doc["threads"], "threads")
@@ -252,7 +258,7 @@ def parse_scenario(doc: dict) -> Scenario:
     expect_violations = None
     expectations = doc.get("expectations")
     if expectations is not None:
-        _mapping(expectations, "expectations")
+        _fields(expectations, "expectations", ("memory", "violations"))
         if "memory" in expectations:
             expect_memory = {
                 str(k): _int(v, f"expected {_shown(k)}")
@@ -367,7 +373,12 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 
 def run_scenario(scenario: Scenario, program: Program) -> RunResult:
-    """Execute a scenario against a parsed program."""
+    """Execute a scenario against a parsed program. Expectations and
+    overrides naming a data word the program does not declare are a
+    ValueError, raised before anything runs."""
+    for name in scenario.expect_memory or {}:
+        if name not in program.data_words:
+            raise ValueError(f"expectation names undeclared symbol {_shown(name)}")
     machine = init_machine(program, scenario.threads, scenario.mode, scenario.overrides)
     if isinstance(scenario.schedule, RandomSchedule):
         return run_random(

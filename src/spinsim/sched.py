@@ -101,10 +101,10 @@ class RunResult:
     header: dict
 
 
-def _monitor_text(machine: MachineState, t: ThreadState) -> str:
+def _monitor_text(addr_sym: dict[int, str], t: ThreadState) -> str:
     if t.mon_granule is None:
         return "open"
-    return f"{machine.addr_sym[t.mon_granule]}:v{t.mon_version}"
+    return f"{addr_sym[t.mon_granule]}:v{t.mon_version}"
 
 
 class _Runner:
@@ -158,8 +158,9 @@ class _Runner:
         with the tamper `note` on the first."""
         m = self.machine
         trace = self.trace
-        listing = m.program.listing
-        instructions = m.program.instructions
+        prog = m.program
+        listing = prog.listing
+        instructions = prog.instructions
         for before, after, memory_before, memory_after in executed:
             pc = before.pc
             label, instr = listing[pc]
@@ -181,11 +182,12 @@ class _Runner:
                 # A store bumps its word's version, so the list is never empty.
                 event["mem_writes"] = [
                     [sym, old[0], new[0]]
-                    for sym, old, new in zip(m.sym_addr, memory_before, memory_after)
+                    for sym, old, new in zip(prog.data_words, memory_before, memory_after)
                     if old != new
                 ]
             if after.mon_granule != before.mon_granule or after.mon_version != before.mon_version:
-                old_text, new_text = _monitor_text(m, before), _monitor_text(m, after)
+                old_text = _monitor_text(prog.addr_sym, before)
+                new_text = _monitor_text(prog.addr_sym, after)
                 if new_text != old_text:
                     event["monitor"] = [old_text, new_text]
             trace.append(event)
@@ -408,7 +410,7 @@ def explore(
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
     machine = init_machine(program, thread_count, ExecMode.HW, overrides)
-    syms = list(machine.sym_addr)
+    syms = list(program.data_words)
     regions = program.regions
     table = _InternTable()
     parts = table.parts

@@ -5,7 +5,8 @@ is stopped: a debugger `set $Rn` at a stop point, or (in HW mode) a
 hardware fault flipping bits at any instruction boundary. Hooks fire
 immediately before the instruction at the hooked PC executes for the
 hooked thread. Tampers touch registers only, never memory, PC, flags,
-or monitors.
+or monitors. `edit_register` is the one register edit, shared by the
+hooks and the debugger's `set $R`.
 
 In GDB mode a hook may not sit strictly inside an LDREX..STREX range
 (the debugger cannot stop there); hooking the LDREX itself, the range
@@ -19,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .isa import Program
-from .machine import MASK32, ExecMode, MachineState, strictly_inside
+from .machine import MASK32, ExecMode, MachineState
 
 EVERY = "every"
 
@@ -71,15 +72,21 @@ def resolve_location(location: str, program: Program) -> int:
     return pc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate(spec: TamperSpec) -> None:
-    if not 0 <= spec.register <= 12:
+    if not _is_int(spec.register) or not 0 <= spec.register <= 12:
         raise TamperError(f"register R{spec.register} out of range R0..R12")
     kind, value = spec.action
     if kind not in ("set", "add", "flip_bit"):
         raise TamperError(f"unknown tamper action {kind!r}")
+    if not _is_int(value):
+        raise TamperError(f"tamper action value must be an integer, got {value!r}")
     if kind == "flip_bit" and not 0 <= value <= 31:
         raise TamperError(f"flip_bit position {value} out of range 0..31")
-    if spec.occurrence != EVERY and (not isinstance(spec.occurrence, int) or spec.occurrence < 1):
+    if spec.occurrence != EVERY and (not _is_int(spec.occurrence) or spec.occurrence < 1):
         raise TamperError(f"occurrence must be >= 1 or 'every', got {spec.occurrence!r}")
 
 
@@ -91,12 +98,11 @@ def compile_tampers(
     """Resolve tamper locations to PC indices and enforce the stop-point
     restriction: in GDB mode no hook may lie strictly inside an
     LDREX..STREX range (the error message names the range)."""
-    ranges = program.exclusive_ranges()
     hooks: dict[tuple[int, int], list[_Hook]] = {}
     for spec in specs:
         _validate(spec)
         pc = resolve_location(spec.location, program)
-        inside = strictly_inside(ranges, pc) if mode is ExecMode.GDB else None
+        inside = program.inside_range[pc] if mode is ExecMode.GDB else None
         if inside is not None:
             l, s = inside
             raise TamperError(
@@ -122,23 +128,29 @@ def apply_tampers(
     if not hook_list:
         return []
     applied = []
-    t = machine.threads[thread_id]
-    regs = list(t.regs)
     for hook in hook_list:
         hook.arrivals += 1
         spec = hook.spec
         if spec.occurrence != EVERY and hook.arrivals != spec.occurrence:
             continue
-        kind, value = spec.action
-        old = regs[spec.register]
-        if kind == "set":
-            new = value & MASK32
-        elif kind == "add":
-            new = (old + value) & MASK32
-        else:
-            new = old ^ (1 << value)
-        regs[spec.register] = new
+        old, new = edit_register(machine, spec)
         applied.append(f"{spec.describe_action()} ({old} -> {new})")
-    if applied:
-        machine.threads[thread_id] = t._replace(regs=tuple(regs))
     return applied
+
+
+def edit_register(machine: MachineState, spec: TamperSpec) -> tuple[int, int]:
+    """Apply `spec`'s action to its thread now, replacing the thread's
+    record; returns the register's old and new values."""
+    t = machine.threads[spec.thread_id]
+    kind, value = spec.action
+    old = t.regs[spec.register]
+    if kind == "set":
+        new = value & MASK32
+    elif kind == "add":
+        new = (old + value) & MASK32
+    else:
+        new = old ^ (1 << value)
+    regs = list(t.regs)
+    regs[spec.register] = new
+    machine.threads[spec.thread_id] = t._replace(regs=tuple(regs))
+    return old, new

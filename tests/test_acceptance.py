@@ -8,6 +8,7 @@ import time
 
 from test_properties import monitor_soundness_sweep
 
+from spinsim.isa import strictly_inside
 from spinsim.machine import ExecMode, init_machine
 from spinsim.scenario import load_scenario, run_scenario
 from spinsim.sched import _Runner, explore, run_random, run_schedule, witness_script
@@ -131,7 +132,7 @@ def test_acceptance_6_gdb_stepping_cycle(load_corpus):
             runner.dispatch(1)
             stops.append(machine.threads[1].pc)
             groups.append([e["pc"] for e in runner.trace[before:]])
-            assert machine.strictly_inside_exclusive(machine.threads[1].pc) is None
+            assert strictly_inside(program.exclusive_ranges(), machine.threads[1].pc) is None
         assert stops == [1, 2, 0] * 10
         # trace shows the exclusive group retiring atomically each cycle
         assert groups == [[0], [1], [2, 3, 4]] * 10

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 from spinsim.debug import DebugSession, location_for_pc, run_repl
+from spinsim.isa import parse_program
 from spinsim.machine import ExecMode
 from spinsim.scenario import load_scenario, run_scenario
 
@@ -56,6 +57,39 @@ def test_register_edit_refused_strictly_inside_range(load_corpus):
     assert "refused" in out
     assert "[2, 6]" in out
     assert session.machine.threads[0].regs[7] == 0
+
+
+def test_register_edit_refused_where_no_label_names_the_pc(tmp_path, capsys):
+    """An edit that export could not record as a tamper is refused, so a
+    label-less session exports a scenario that replays to its own end."""
+    source = ".data x 0\n    LDR R1, =x\n    MOV R2, #1\n    STR R2, [R1]\n"
+    session = DebugSession(parse_program(source), 1, ExecMode.GDB, program_name="nolabels.s")
+    drive(session, ["step 2"])
+    before = session.machine.threads[0]
+    out = session.handle("set $R2 = 7")
+    assert out.startswith("refused: ") and "pc 2" in out and "\n" not in out
+    assert session.machine.threads[0] == before
+    assert session.recorded_tampers == []
+    drive(session, ["continue", f"export {tmp_path}/nolabels.scn"])
+    assert session.handle("x x") == "x = 1"
+
+    (tmp_path / "nolabels.s").write_text(source)
+    from spinsim.cli import main
+
+    assert main(["run", str(tmp_path / "nolabels.s"), str(tmp_path / "nolabels.scn")]) == 0
+    assert "x = 1" in capsys.readouterr().out
+
+
+def test_register_edit_checked_as_a_tamper(load_corpus):
+    """`set` refuses what `compile_tampers` refuses, with its message, and
+    records the spec it applied."""
+    session = DebugSession(load_corpus("lock_regcmp.s"), 1, ExecMode.GDB)
+    out = session.handle("set $R13 = 1")
+    assert out == "refused: register R13 out of range R0..R12"
+    assert session.recorded_tampers == []
+    assert session.handle("set $R3 = -1") == "R3 = 4294967295 (was 0)"
+    assert session.handle("set $R3 += 2") == "R3 = 1 (was 4294967295)"
+    assert [t.action for t in session.recorded_tampers] == [("set", -1), ("add", 2)]
 
 
 def test_register_edit_allowed_inside_range_in_hw_mode(load_corpus):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 import spinsim
-from spinsim.isa import parse_program
+from spinsim.isa import parse_program, strictly_inside
 from spinsim.machine import (
     EXITED,
     FAULTED,
@@ -11,7 +15,6 @@ from spinsim.machine import (
     ExecMode,
     init_machine,
     step,
-    strictly_inside,
 )
 
 TWO_WORDS = ".data lockVar 0\n.data accountBalance 100\n"
@@ -19,7 +22,8 @@ TWO_WORDS = ".data lockVar 0\n.data accountBalance 100\n"
 
 def word(machine, symbol):
     """The (value, version) pair of a data word."""
-    return machine.memory[machine.word_index[machine.sym_addr[symbol]]]
+    program = machine.program
+    return machine.memory[program.word_index[program.sym_addr[symbol]]]
 
 
 def run_to_completion(machine, tid):
@@ -307,7 +311,7 @@ def test_gdb_loser_cycles_three_stop_points(load_corpus):
     for _ in range(12):
         step(m, 1)
         stops.append(m.threads[1].pc)
-        assert m.strictly_inside_exclusive(m.threads[1].pc) is None
+        assert strictly_inside(p.exclusive_ranges(), m.threads[1].pc) is None
     assert stops == [1, 2, 0] * 4
 
 
@@ -383,12 +387,10 @@ def test_stop_table_is_strictly_inside_per_pc(name, load_corpus):
     else:
         p = load_corpus(name)
     ranges = p.exclusive_ranges()
-    for mode in ExecMode:
-        m = init_machine(p, 2, mode)
-        assert len(m.inside_range) == len(p.instructions) + 1
-        for pc in range(len(p.instructions) + 1):
-            assert m.inside_range[pc] == strictly_inside(ranges, pc), (mode, pc)
-            assert m.strictly_inside_exclusive(pc) == strictly_inside(ranges, pc), (mode, pc)
+    assert len(p.inside_range) == len(p.instructions) + 1
+    for pc in range(len(p.instructions) + 1):
+        assert p.inside_range[pc] == strictly_inside(ranges, pc), pc
+    assert p.inside_range is p.inside_range  # built once per Program
 
 
 def test_gdb_step_retires_each_of_two_pairs_whole():
@@ -400,3 +402,23 @@ def test_gdb_step_retires_each_of_two_pairs_whole():
         stops.append(m.threads[0].pc)
     assert stops == [1, 4, 5, 7, 8]
     assert m.threads[0].regs[2] == 0 and m.threads[0].regs[4] == 0  # both STREXes stored
+
+
+def test_machine_state_holds_run_state_only():
+    """What depends only on the program lives on `Program`."""
+    fields = [f.name for f in dataclasses.fields(spinsim.MachineState)]
+    assert fields == ["program", "mode", "threads", "memory", "step_count"]
+
+
+def test_only_isa_evaluates_the_stop_rule():
+    """The GDB stop rule has one owner: every other module reads the
+    program's stop table instead of calling `strictly_inside`."""
+    callers = set()
+    for path in Path(spinsim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "strictly_inside":
+                    callers.add(path.stem)
+    assert callers == {"isa"}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from spinsim.isa import Instruction, Program
+from spinsim.isa import Instruction, Program, strictly_inside
 from spinsim.machine import RUNNABLE, ExecMode, init_machine, step
 from spinsim.sched import splitmix64
 
@@ -176,6 +176,7 @@ def test_gdb_stop_points_never_strictly_inside(load_corpus):
     runnable thread ever rests strictly inside an exclusive range."""
     for name in ("lock_basic.s", "lock_regcmp.s", "lock_no_ll_branch.s", "lock_unlock.s"):
         program = load_corpus(name)
+        ranges = program.exclusive_ranges()
         for seed in range(8):
             m = init_machine(program, 3, ExecMode.GDB)
             rng = splitmix64(seed)
@@ -186,7 +187,7 @@ def test_gdb_stop_points_never_strictly_inside(load_corpus):
                 step(m, runnable[next(rng) % len(runnable)])
                 for t in m.threads:
                     if t.status == RUNNABLE:
-                        assert m.strictly_inside_exclusive(t.pc) is None, (name, seed, t.pc)
+                        assert strictly_inside(ranges, t.pc) is None, (name, seed, t.pc)
 
 
 def test_lock_serializes_every_seed(load_corpus):

@@ -141,6 +141,39 @@ def test_random_schedule_round_trip(tmp_path):
             },
             "bad tamper occurrence True",
         ),
+        # misspelt fields in nested mappings
+        ({"threads": 1, "schedule": {"entries": [], "hlat": True}}, "unknown schedule field 'hlat'"),
+        (
+            {
+                "threads": 1,
+                "schedule": {"entries": []},
+                "tampers": [
+                    {"thread": 0, "at": "a", "register": "R1", "action": "set 1", "ocurrence": 2}
+                ],
+            },
+            "unknown tamper entry field 'ocurrence'",
+        ),
+        (
+            {"threads": 1, "schedule": {"entries": []}, "expectations": {"violation": 7}},
+            "unknown expectations field 'violation'",
+        ),
+        (
+            {"threads": 1, "schedule": {"random": {"seed": 1, "max_step": 5}}},
+            "unknown random field 'max_step'",
+        ),
+        # a random schedule takes none of the scripted schedule's fields
+        (
+            {"threads": 1, "schedule": {"random": {"seed": 1}, "entries": []}},
+            "unknown random schedule field 'entries'",
+        ),
+        (
+            {"threads": 1, "schedule": {"random": {"seed": 1}, "halt": True}},
+            "unknown random schedule field 'halt'",
+        ),
+        (
+            {"threads": 1, "schedule": {"random": {"seed": 1}, "clrex_on_switch": False}},
+            "unknown random schedule field 'clrex_on_switch'",
+        ),
     ],
 )
 def test_scenario_validation_errors(doc, pattern):
@@ -384,6 +417,21 @@ def test_corpus_scenarios_load_without_pure_python_loader(corpus_file, monkeypat
     monkeypatch.setattr(yaml, "safe_load", refuse)
     for name in ALL_SCENARIOS:
         assert load_scenario(corpus_file(name)).program == "lock_regcmp.s"
+
+
+def test_cli_run_rejects_expectation_on_undeclared_word(corpus_file, tmp_path, capsys):
+    """An expectation on a data word the program does not declare is a
+    usage error, like an override of one, not a mismatch."""
+    scenario = load_scenario(corpus_file("normal3.scn"))
+    scenario.expect_memory = {"noSuchWord": 1}
+    path = tmp_path / "undeclared.scn"
+    save_scenario(scenario, path)
+    assert main(["run", str(corpus_file("lock_regcmp.s")), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: expectation names undeclared symbol 'noSuchWord'\n"
+    )
 
 
 def test_cli_run_rejects_tamper_on_missing_thread(corpus_file, tmp_path, capsys):

@@ -145,7 +145,7 @@ def test_thread_records_are_values(load_corpus):
     and the machine holds the new record."""
     p = load_corpus("lock_regcmp.s")
     fresh = ThreadState((0,) * 13, pc=p.entry)
-    lock_var = init_machine(p, 1).sym_addr["lockVar"]
+    lock_var = p.sym_addr["lockVar"]
 
     m = init_machine(p, 2, ExecMode.HW)
     held = m.threads[0]
@@ -365,7 +365,7 @@ def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_
             violations.append(list(path))
         runnable = [i for i, t in enumerate(threads) if t[6] == RUNNABLE]
         if not runnable:
-            final = tuple(sorted((sym, value) for sym, (value, _) in zip(m.sym_addr, snap[1])))
+            final = tuple(sorted((sym, value) for sym, (value, _) in zip(program.data_words, snap[1])))
             finals.add(final)
             witnesses.setdefault(final, list(path))
             terminal += 1

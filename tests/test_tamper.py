@@ -57,6 +57,16 @@ def test_spec_validation(load_corpus):
         compile_tampers([TamperSpec(0, "retry", 1, ("flip_bit", 32))], p, ExecMode.HW)
     with pytest.raises(TamperError, match="occurrence"):
         compile_tampers([TamperSpec(0, "retry", 1, ("set", 0), occurrence=0)], p, ExecMode.HW)
+    # booleans and non-integers, which would otherwise fail mid-run
+    for occurrence in (True, "2", 1.5):
+        with pytest.raises(TamperError, match="occurrence"):
+            spec = TamperSpec(0, "retry", 1, ("set", 0), occurrence=occurrence)
+            compile_tampers([spec], p, ExecMode.HW)
+    for value in ("x", True, 1.5, None):
+        with pytest.raises(TamperError, match="action value must be an integer"):
+            compile_tampers([TamperSpec(0, "retry", 1, ("add", value))], p, ExecMode.HW)
+    with pytest.raises(TamperError, match="out of range"):
+        compile_tampers([TamperSpec(0, "retry", True, ("set", 0))], p, ExecMode.HW)
 
 
 def test_apply_respects_thread_and_occurrence(load_corpus):
