@@ -26,7 +26,8 @@ procedure transcribes one-to-one:
 
 Every dispatch and register edit is recorded, so `export` produces a
 scenario file whose replay reproduces the session's final memory and
-violations exactly. `set` is a tamper: it builds the `TamperSpec` it
+violations exactly; it refuses a session of more dispatches than the
+replay's step budget. `set` is a tamper: it builds the `TamperSpec` it
 records, checks it with `compile_tampers` and applies it with
 `edit_register`.
 """
@@ -38,7 +39,7 @@ from pathlib import Path
 
 from .isa import Program
 from .machine import RUNNABLE, ExecMode, init_machine
-from .sched import ScheduleScript, _Runner, witness_script
+from .sched import DEFAULT_MAX_STEPS, _Runner, witness_script
 from .scenario import Scenario, save_scenario
 from .tamper import TamperError, TamperSpec, compile_tampers, edit_register
 from .trace import emit_trace, summarize
@@ -134,12 +135,7 @@ class DebugSession:
         return summarize(self.run_result())
 
     def run_result(self):
-        return self.runner.result(f"script:{self._script().digest()}")
-
-    def _script(self) -> ScheduleScript:
-        script = witness_script(self.dispatch_log)
-        script.mode = self.machine.mode
-        return script
+        return self.runner.result(f"script:{witness_script(self.dispatch_log).digest()}")
 
     # -- commands ----------------------------------------------------------
 
@@ -309,10 +305,12 @@ class DebugSession:
 
     def _cmd_export(self, args: list[str]) -> str:
         path = Path(args[0])
+        if len(self.dispatch_log) > DEFAULT_MAX_STEPS:  # `run_scenario`'s budget
+            return f"cannot export: a scenario replays at most {DEFAULT_MAX_STEPS} dispatches"
         scenario = Scenario(
             threads=len(self.machine.threads),
             mode=self.machine.mode,
-            schedule=self._script(),
+            schedule=witness_script(self.dispatch_log),
             program=self.program_name,
             tampers=list(self.recorded_tampers),
         )

@@ -5,7 +5,8 @@ Accepted format (UTF-8 text, one instruction per line, `.s` by convention):
     // comment            @ also starts a comment
     .data lockVar 0       declare a 32-bit data word with initial value
     .region critical critical_section unlock
-                          mark the PC range [start-label, end-label) with a name
+                          mark the PC range [start-label, end-label) with a name;
+                          a region may not hold the entry pc
     .entry lock           optional entry label (default: first instruction)
 
     lock:                 labels end with ':' on their own line or prefix a line
@@ -125,6 +126,15 @@ class Program:
         ranges, for each pc 0..len(instructions)."""
         ranges = self.exclusive_ranges()
         return tuple(strictly_inside(ranges, pc) for pc in range(len(self.instructions) + 1))
+
+    @cached_property
+    def region_at(self) -> tuple[tuple[int, ...], ...]:
+        """The indices of the regions that hold each pc
+        0..len(instructions), ascending."""
+        return tuple(
+            tuple(i for i, r in enumerate(self.regions) if r.start <= pc < r.end)
+            for pc in range(len(self.instructions) + 1)
+        )
 
     @cached_property
     def sym_addr(self) -> dict[str, int]:
@@ -253,8 +263,8 @@ def parse_program(text: str) -> Program:
     """Parse assembly source into a validated, label-resolved Program.
 
     Raises AsmError (with the offending line number) on syntax errors,
-    unknown opcodes, unresolved or duplicate labels/symbols, and
-    malformed directives.
+    unknown opcodes, unresolved or duplicate labels/symbols, malformed
+    directives, and regions that partially overlap or hold the entry pc.
     """
     instructions: list[Instruction] = []
     labels: dict[str, int] = {}
@@ -388,6 +398,9 @@ def parse_program(text: str) -> Program:
         entry = labels[entry_label]
         if entry >= len(instructions):
             raise AsmError(entry_line, f"entry label {entry_label!r} points past the program")
+    for r in regions:  # threads would start inside: crowded at once, or guarding nothing
+        if r.start <= entry < r.end:
+            raise AsmError(region_lines[r.name], f"region {r.name!r} holds the entry pc {entry}")
 
     return Program(
         instructions=instructions,

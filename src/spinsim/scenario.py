@@ -67,7 +67,7 @@ from .sched import (
     run_random,
     run_schedule,
 )
-from .tamper import EVERY, TamperSpec
+from .tamper import TamperSpec
 
 
 class ScenarioError(Exception):
@@ -177,24 +177,15 @@ def _parse_tamper(entry) -> TamperSpec:
         action = _parse_action(entry["action"])
     except KeyError as e:
         raise ScenarioError(f"tamper entry missing field {_shown(e.args[0])}") from None
+    # `compile_tampers` checks the value when the scenario runs; a list
+    # or mapping is refused here, so a deep one never reaches a message.
     occurrence = entry.get("occurrence", 1)
-    if occurrence == EVERY:
-        pass
-    elif isinstance(occurrence, int) and not isinstance(occurrence, bool):
-        if occurrence < 1:
-            raise ScenarioError(f"tamper occurrence must be >= 1, got {_shown(occurrence)}")
-    else:
-        raise ScenarioError(f"bad tamper occurrence {_shown(occurrence)}")
-    return TamperSpec(
-        thread_id=thread,
-        location=location,
-        register=register,
-        action=action,
-        occurrence=occurrence,
-    )
+    if isinstance(occurrence, (list, dict)):
+        raise ScenarioError(f"tamper occurrence must be a scalar, got {_shown(occurrence)}")
+    return TamperSpec(thread, location, register, action, occurrence)
 
 
-def _parse_schedule(raw, mode: ExecMode) -> ScheduleScript | RandomSchedule:
+def _parse_schedule(raw) -> ScheduleScript | RandomSchedule:
     if not isinstance(raw, dict):
         raise ScenarioError("schedule must be a mapping with 'entries' or 'random'")
     if "random" in raw:
@@ -219,7 +210,6 @@ def _parse_schedule(raw, mode: ExecMode) -> ScheduleScript | RandomSchedule:
         )
     return ScheduleScript(
         entries=entries,
-        mode=mode,
         clrex_on_switch=_bool(raw.get("clrex_on_switch", False), "clrex_on_switch"),
         halt=_bool(raw.get("halt", False), "halt"),
     )
@@ -247,7 +237,7 @@ def parse_scenario(doc: dict) -> Scenario:
     mode = _MODES[mode_name]
     if "schedule" not in doc:
         raise ScenarioError("scenario needs a schedule")
-    schedule = _parse_schedule(doc["schedule"], mode)
+    schedule = _parse_schedule(doc["schedule"])
 
     overrides = {}
     for name, value in _mapping(doc.get("overrides") or {}, "overrides").items():

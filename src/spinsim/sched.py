@@ -11,8 +11,15 @@ Runs dispatch through `_Runner`. It applies tampers between steps and
 appends each trace event as the JSON-ready record `emit_trace` writes
 (see `trace` for its keys), built from the records and memories `step`
 reports around one retired instruction and numbered by trace position.
-A mutual-exclusion violation is its event record, kept in `violations`
-as well as in the trace.
+
+Mutual exclusion has one rule, `crowded_regions`: a `.region` is
+crowded when two or more runnable threads are inside it. The explorer
+reports each visited state with a crowded region. A run records a
+violation event when a step leaves its thread runnable inside a region
+it was not inside before, and that region is crowded: one event per
+region, in region order, kept in `violations` as well as in the trace.
+Regions may not hold the entry pc, so threads start outside them and
+every explorer witness replays to a violation.
 
 Random runs draw the next thread uniformly from the runnable set with
 SplitMix64 (the generator is recorded in the trace header so seeds are
@@ -29,9 +36,7 @@ Both are immutable values, so `_freeze` interns what `step` left in
 the machine and `_thaw` assigns interned values back. One step changes
 one thread and at most memory, so a child's key reuses its parent's
 other ids, and after each child only the stepped thread and memory are
-put back. Every declared `.region` is treated as a mutual-exclusion
-region: a state where two threads' PCs lie inside the same region at
-once is reported with the thread schedule that reached it.
+put back.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .isa import Program
 from .machine import (
@@ -72,7 +78,6 @@ def splitmix64(seed: int):
 @dataclass
 class ScheduleScript:
     entries: list[tuple[int, int]]
-    mode: ExecMode | None = None       # validated against the machine when set
     clrex_on_switch: bool = False
     halt: bool = False
 
@@ -107,10 +112,21 @@ def _monitor_text(addr_sym: dict[int, str], t: ThreadState) -> str:
     return f"{addr_sym[t.mon_granule]}:v{t.mon_version}"
 
 
+def crowded_regions(program: Program, threads: list[ThreadState]) -> set[int]:
+    """The indices of the regions that two or more runnable threads are
+    inside: the one mutual-exclusion rule."""
+    region_at = program.region_at
+    inside: list[int] = []
+    for t in threads:
+        if t.status == RUNNABLE:
+            inside += region_at[t.pc]
+    return {r for r in inside if inside.count(r) > 1} if len(inside) > 1 else set()
+
+
 class _Runner:
     """Dispatch loop shared by scripted runs, random runs, and the
-    debugger: applies tampers, steps threads, tracks region occupancy,
-    and builds the trace."""
+    debugger: applies tampers, steps threads, records region entries
+    into crowded regions, and builds the trace."""
 
     def __init__(self, machine: MachineState, compiled: CompiledTampers | None = None):
         self.machine = machine
@@ -119,14 +135,14 @@ class _Runner:
         self.violations: list[dict] = []
         self.clrex_on_switch = False
         self._prev_tid: int | None = None
-        self._occupants: list[set[int]] = [set() for _ in machine.program.regions]
 
     def dispatch(self, thread_id: int):
         """Apply the tampers hooked at the thread's pc, step it (or record
-        a no-op for a finished one) and return the StepOutcome, None when
-        nothing ran. Tampers fire before the step only: GDB-mode hooks
-        strictly inside an exclusive range are rejected when compiled, so
-        no hook can match a later instruction of the same step."""
+        a no-op for a finished one), record its entries into crowded
+        regions and return the StepOutcome, None when nothing ran.
+        Tampers fire before the step only: GDB-mode hooks strictly inside
+        an exclusive range are rejected when compiled, so no hook can
+        match a later instruction of the same step."""
         m = self.machine
         if self.clrex_on_switch and self._prev_tid not in (None, thread_id):
             # OS-like behavior: descheduling drops the outgoing reservation.
@@ -150,7 +166,20 @@ class _Runner:
             note = "; ".join(apply_tampers(self.compiled, m, thread_id, t.pc)) or None
         outcome = step(m, thread_id)
         self._trace_step(thread_id, outcome.executed, note)
-        self._update_regions(thread_id)
+        region_at = m.program.region_at
+        after = m.threads[thread_id]
+        if region_at[after.pc] and after.status == RUNNABLE:
+            entered = [r for r in region_at[after.pc] if r not in region_at[t.pc]]
+            crowded = crowded_regions(m.program, m.threads) if entered else ()
+            for r in entered:
+                if r in crowded:
+                    event = {
+                        "type": "event", "step": len(self.trace), "thread": thread_id,
+                        "pc": after.pc, "label": m.program.regions[r].name,
+                        "violation": "mutual_exclusion",
+                    }
+                    self.violations.append(event)
+                    self.trace.append(event)
         return outcome
 
     def _trace_step(self, thread_id: int, executed: list, note: str | None) -> None:
@@ -191,24 +220,6 @@ class _Runner:
                 if new_text != old_text:
                     event["monitor"] = [old_text, new_text]
             trace.append(event)
-
-    def _update_regions(self, thread_id: int) -> None:
-        m = self.machine
-        t = m.threads[thread_id]
-        for i, region in enumerate(m.program.regions):
-            occupants = self._occupants[i]
-            inside = t.status == RUNNABLE and region.start <= t.pc < region.end
-            if inside and thread_id not in occupants:
-                if occupants:
-                    event = {
-                        "type": "event", "step": len(self.trace), "thread": thread_id, "pc": t.pc,
-                        "label": region.name, "violation": "mutual_exclusion",
-                    }
-                    self.violations.append(event)
-                    self.trace.append(event)
-                occupants.add(thread_id)
-            elif not inside and thread_id in occupants:
-                occupants.discard(thread_id)
 
     def run_round_robin(self, max_steps: int) -> bool:
         """Step runnable threads ascending until everyone is done; returns
@@ -265,17 +276,13 @@ def run_schedule(
 ) -> RunResult:
     """Drive the machine through the script, then round-robin any
     remaining runnable threads to completion (unless the script halts).
+    Either phase stops, truncated, when it reaches `max_steps`.
 
     Tampers are compiled before the run starts; in GDB mode a tamper
     aimed strictly inside an LDREX..STREX range is rejected here.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    if script.mode is not None and script.mode is not machine.mode:
-        raise ValueError(
-            f"schedule mode {script.mode.value!r} does not match machine mode "
-            f"{machine.mode.value!r}"
-        )
     for tid, count in script.entries:
         if not 0 <= tid < len(machine.threads):
             raise ValueError(f"schedule entry names unknown thread {tid}")
@@ -286,11 +293,12 @@ def run_schedule(
     runner = _Runner(machine, compiled)
     runner.clrex_on_switch = script.clrex_on_switch
 
-    for tid, count in script.entries:
-        for _ in range(count):
-            runner.dispatch(tid)
-    truncated = False
-    if not script.halt:
+    # The budget counts the script's dispatches, no-ops included.
+    dispatches = (tid for tid, count in script.entries for _ in range(count))
+    for tid in islice(dispatches, max_steps):
+        runner.dispatch(tid)
+    truncated = next(dispatches, None) is not None
+    if not (truncated or script.halt):
         truncated = runner.run_round_robin(max_steps)
     return runner.result(f"script:{script.digest()}", truncated)
 
@@ -395,21 +403,19 @@ def explore(
     thread_count: int,
     max_steps: int = EXPLORE_MAX_STEPS,
     max_states: int = EXPLORE_MAX_STATES,
-    overrides: dict[str, int] | None = None,
 ) -> ExploreReport:
     """Depth-first enumeration of every interleaving (HW mode, one
     instruction per step) up to the bounds, memoized on full machine
     state. Reports each distinct final memory with a witness schedule,
-    plus every reachable state where two or more threads occupy the
-    same declared region. Bound exhaustion sets truncated; the report
-    stays sound for the explored prefix. `_freeze` and `_thaw` stay
-    separate functions because perfbench times them as the explorer's
-    keying layer (`sched.explore.key_s`)."""
+    plus every reachable state with a crowded region. Bound exhaustion
+    sets truncated; the report stays sound for the explored prefix.
+    `_freeze` and `_thaw` stay separate functions because perfbench
+    times them as the explorer's keying layer (`sched.explore.key_s`)."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
-    machine = init_machine(program, thread_count, ExecMode.HW, overrides)
+    machine = init_machine(program, thread_count, ExecMode.HW)
     syms = list(program.data_words)
     regions = program.regions
     table = _InternTable()
@@ -435,16 +441,8 @@ def explore(
         visited.add(key)
 
         threads = [parts[i] for i in key[:-1]]
-        if regions:
-            for region in regions:
-                inside = [
-                    i
-                    for i, t in enumerate(threads)
-                    if t.status == RUNNABLE and region.start <= t.pc < region.end
-                ]
-                if len(inside) >= 2:
-                    violations.append(list(path))
-                    break
+        if regions and crowded_regions(program, threads):
+            violations.append(list(path))
 
         runnable = [i for i, t in enumerate(threads) if t.status == RUNNABLE]
         if not runnable:
@@ -477,11 +475,11 @@ def explore(
 def witness_script(path: list[int]) -> ScheduleScript:
     """Schedule replaying a path of thread ids, one step each (an
     explorer witness, or a debugger session's dispatches), through
-    run_schedule. The mode is HW, the explorer's; set it for others."""
+    run_schedule."""
     entries: list[tuple[int, int]] = []
     for tid in path:
         if entries and entries[-1][0] == tid:
             entries[-1] = (tid, entries[-1][1] + 1)
         else:
             entries.append((tid, 1))
-    return ScheduleScript(entries=entries, mode=ExecMode.HW, halt=True)
+    return ScheduleScript(entries=entries, halt=True)

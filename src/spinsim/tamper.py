@@ -17,6 +17,7 @@ fault-injection attacker.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass
 
 from .isa import Program
@@ -87,7 +88,8 @@ def _validate(spec: TamperSpec) -> None:
     if kind == "flip_bit" and not 0 <= value <= 31:
         raise TamperError(f"flip_bit position {value} out of range 0..31")
     if spec.occurrence != EVERY and (not _is_int(spec.occurrence) or spec.occurrence < 1):
-        raise TamperError(f"occurrence must be >= 1 or 'every', got {spec.occurrence!r}")
+        shown = reprlib.repr(spec.occurrence)  # bounded: a scenario passes any YAML scalar
+        raise TamperError(f"occurrence must be >= 1 or 'every', got {shown}")
 
 
 def compile_tampers(

@@ -49,24 +49,17 @@ else:
         return "".join(_c_encode(record, 0))
 
 
-def emit_trace(run_result, destination=None) -> bytes:
-    """Serialize a finished (or truncated) run to the trace stream.
-
-    `destination` may be a path or a binary file object; either way the
-    bytes are returned.
-    """
+def emit_trace(run_result, destination: str | Path | None = None) -> bytes:
+    """Serialize a finished (or truncated) run to the trace stream,
+    written to the path `destination` when one is given, and return the
+    bytes."""
     from . import __version__
 
     header = {"type": "header", "format": TRACE_FORMAT, "tool": f"spinsim {__version__}"}
     header.update(run_result.header)
     data = "\n".join([_encode(header), *map(_encode, run_result.trace), ""]).encode("utf-8")
-
-    if destination is None:
-        pass
-    elif isinstance(destination, (str, Path)):
+    if destination is not None:
         Path(destination).write_bytes(data)
-    else:
-        destination.write(data)
     return data
 
 

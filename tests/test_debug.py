@@ -120,6 +120,20 @@ def test_exported_session_replays_exactly(load_corpus, corpus_file, tmp_path):
     assert code == 0
 
 
+def test_export_refuses_a_session_longer_than_a_replay(tmp_path):
+    """A scripted scenario replays within the default step budget, so a
+    longer session is not exported as one that would replay truncated."""
+    program = parse_program(
+        ".data counter 0\n    LDR R10, =counter\n    MOV R1, #0\n"
+        "loop:\n    ADD R1, R1, #1\n    STR R1, [R10]\n    CMP R1, #50000\n    BNE loop\n"
+    )
+    session = DebugSession(program, 1, ExecMode.HW)
+    session.handle("step 100001")
+    out = session.handle(f"export {tmp_path}/long.scn")
+    assert out == "cannot export: a scenario replays at most 100000 dispatches"
+    assert not (tmp_path / "long.scn").exists()
+
+
 def test_export_records_later_occurrences(load_corpus, tmp_path):
     """A register edit made after the loser already spun through the
     hooked pc exports with the matching occurrence number."""

@@ -131,9 +131,16 @@ def test_region_rules():
         parse_program(bad)
     nested = (
         ".region outer a d\n.region inner b c\n"
-        "a:\n    NOP\nb:\n    NOP\nc:\n    NOP\nd:\n    NOP\n"
+        "    NOP\na:\n    NOP\nb:\n    NOP\nc:\n    NOP\nd:\n    NOP\n"
     )
-    parse_program(nested)
+    assert parse_program(nested).region_at == ((), (0,), (0, 1), (0,), (), ())
+    # a region may not hold the entry pc: threads would start inside it
+    with pytest.raises(AsmError, match="line 1: region 'r' holds the entry pc 0"):
+        parse_program(".region r a b\na:\n    NOP\nb:\n    NOP\n")
+    with pytest.raises(AsmError, match="line 2: region 'r' holds the entry pc 1"):
+        parse_program(".entry b\n.region r b c\n    NOP\nb:\n    NOP\nc:\n")
+    # an empty region holds no pc, not even the entry
+    assert parse_program(".region r a a\na:\n    NOP\n").region_at == ((), ())
 
 
 def test_entry_directive():

@@ -422,3 +422,14 @@ def test_only_isa_evaluates_the_stop_rule():
                 if name == "strictly_inside":
                     callers.add(path.stem)
     assert callers == {"isa"}
+
+
+def test_only_isa_relates_pcs_to_regions():
+    """Mutual exclusion has one owner: outside `isa`, code reads the
+    program's `region_at` table instead of a region's `start` or `end`."""
+    readers = set()
+    for path in Path(spinsim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("start", "end"):
+                readers.add(path.stem)
+    assert readers == {"isa"}

@@ -53,9 +53,7 @@ def test_scenario_save_load_round_trip(tmp_path):
     scenario = Scenario(
         threads=2,
         mode=ExecMode.GDB,
-        schedule=ScheduleScript(
-            entries=[(0, 3), (1, 2)], mode=ExecMode.GDB, halt=True, clrex_on_switch=True
-        ),
+        schedule=ScheduleScript(entries=[(0, 3), (1, 2)], halt=True, clrex_on_switch=True),
         program="lock_regcmp.s",
         overrides={"accountBalance": 400},
         tampers=[TamperSpec(1, "retry+2", 7, ("add", 1), occurrence=2)],
@@ -136,10 +134,10 @@ def test_random_schedule_round_trip(tmp_path):
                 "threads": 1,
                 "schedule": {"entries": []},
                 "tampers": [
-                    {"thread": 0, "at": "a", "register": "R1", "action": "set 1", "occurrence": True}
+                    {"thread": 0, "at": "a", "register": "R1", "action": "set 1", "occurrence": [1]}
                 ],
             },
-            "bad tamper occurrence True",
+            "tamper occurrence must be a scalar",
         ),
         # misspelt fields in nested mappings
         ({"threads": 1, "schedule": {"entries": [], "hlat": True}}, "unknown schedule field 'hlat'"),
@@ -348,6 +346,13 @@ _MALFORMED_SCENARIOS = [
     ("threads: 1\nprogram: 2001-02-30\n", "day is out of range"),
     ("threads: !!bool maybe\n", "maybe"),
     ("threads: " + "[" * 1000 + "]" * 1000 + "\n", "recursion"),
+    # the one field the reader passes on unjudged still refuses a list,
+    # so libyaml's deeper nesting never reaches a Scenario
+    (
+        "threads: 1\nschedule: {entries: []}\ntampers:\n- {thread: 0, at: retry, register: R7,"
+        " action: add 1, occurrence: " + "[" * 1000 + "]" * 1000 + "}\n",
+        "recursion",
+    ),
 ]
 
 
@@ -445,6 +450,20 @@ def test_cli_run_rejects_tamper_on_missing_thread(corpus_file, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "unknown thread 7" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("occurrence, shown", [("0", "0"), ("true", "True")])
+def test_cli_run_rejects_bad_tamper_occurrence(occurrence, shown, corpus_file, tmp_path, capsys):
+    """`compile_tampers` alone judges an occurrence's value."""
+    path = tmp_path / "occurrence.scn"
+    path.write_text(
+        "program: lock_regcmp.s\nthreads: 1\nschedule: {entries: []}\ntampers:\n"
+        f"  - {{thread: 0, at: retry, register: R7, action: add 1, occurrence: {occurrence}}}\n"
+    )
+    assert main(["run", str(corpus_file("lock_regcmp.s")), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: occurrence must be >= 1 or 'every', got {shown}\n"
 
 
 def test_cli_run_writes_trace(corpus_file, tmp_path, capsys):
@@ -572,6 +591,15 @@ def test_cli_explore_exit_codes(corpus_file, capsys):
         == 3
     )
     capsys.readouterr()
+
+
+def test_cli_explore_rejects_region_holding_the_entry(tmp_path, capsys):
+    source = tmp_path / "entry_in.s"
+    source.write_text(".region crit enter leave\nenter:\n    NOP\nleave:\n    NOP\n")
+    assert main(["explore", str(source), "--threads", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {source}: line 1: region 'crit' holds the entry pc 0\n"
 
 
 def test_cli_lint_exit_codes(corpus_file, capsys):

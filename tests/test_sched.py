@@ -24,7 +24,7 @@ from spinsim.sched import (
 )
 from spinsim.tamper import TamperSpec, apply_tampers, compile_tampers
 
-NORMAL3 = ScheduleScript(entries=[(0, 16), (1, 16), (2, 16)], mode=ExecMode.HW)
+NORMAL3 = ScheduleScript(entries=[(0, 16), (1, 16), (2, 16)])
 
 
 def counter_loop_program(iterations: int) -> str:
@@ -101,8 +101,37 @@ def test_schedule_validation(load_corpus):
         run_schedule(m, ScheduleScript(entries=[(7, 1)]))
     with pytest.raises(ValueError, match="step count"):
         run_schedule(m, ScheduleScript(entries=[(0, 0)]))
-    with pytest.raises(ValueError, match="does not match machine mode"):
-        run_schedule(m, ScheduleScript(entries=[], mode=ExecMode.GDB))
+
+
+def test_script_stops_at_the_step_budget(load_corpus):
+    """The script's dispatches, no-ops included, count against max_steps."""
+    m = init_machine(load_corpus("lock_basic.s"), 1, ExecMode.HW)
+    res = run_schedule(m, ScheduleScript(entries=[(0, 50)], halt=True), max_steps=10)
+    assert res.truncated
+    assert len(res.trace) == 10
+
+
+def test_huge_script_entry_returns_at_the_budget(load_corpus):
+    m = init_machine(load_corpus("lock_basic.s"), 1, ExecMode.HW)
+    res = run_schedule(m, ScheduleScript(entries=[(0, 10**12)]))
+    assert res.truncated
+    assert len(res.trace) == sched.DEFAULT_MAX_STEPS
+    assert res.final_memory["accountBalance"] == 105
+
+
+def test_entries_into_crowded_regions_are_reported_in_region_order():
+    """A step into two nested regions that another thread already holds
+    records one violation per region, outer (declared first) first."""
+    p = parse_program(
+        ".region outer a d\n.region inner a c\n"
+        "    NOP\na:\n    NOP\n    NOP\nc:\n    NOP\nd:\n    NOP\n"
+    )
+    res = run_schedule(init_machine(p, 2, ExecMode.HW), ScheduleScript([(0, 1), (1, 1)], halt=True))
+    assert [(v["thread"], v["pc"], v["label"]) for v in res.violations] == [
+        (1, 1, "outer"),
+        (1, 1, "inner"),
+    ]
+    assert res.trace[-2:] == res.violations
 
 
 def test_schedule_replay_determinism(load_corpus):
@@ -394,9 +423,13 @@ def report_fields(rep):
 
 def assert_explorers_agree(program, thread_count):
     """Same report as the reference, untruncated and at every max_states
-    around the reference's visited-state count."""
+    around the reference's visited-state count, and every violation
+    witness replays through `run_schedule` to a violation."""
     want, visited = reference_explore(program, thread_count)
     assert not want[-1]
+    for witness in want[2]:  # violation witnesses replay to a run's violation
+        machine = init_machine(program, thread_count, ExecMode.HW)
+        assert run_schedule(machine, witness_script(witness)).violations, witness
     assert report_fields(explore(program, thread_count)) == want
     for cap in sorted({1, 10, 100, visited - 1} - {0}):
         want_capped, _ = reference_explore(program, thread_count, max_states=cap)
