@@ -111,7 +111,9 @@ def cmd_explore(args) -> int:
     print(f"distinct final states: {len(report.final_states)}")
     for memory in report.final_memories:
         rendered = ", ".join(f"{k} = {v}" for k, v in memory.items())
-        print(f"  {rendered}")
+        print(f"  {rendered or '(no data words)'}")
+    if report.faulted_terminal_states:
+        print(f"terminal states with a faulted thread: {report.faulted_terminal_states}")
     print(f"mutual-exclusion violations: {len(report.mutual_exclusion_violations)}")
     if report.mutual_exclusion_violations:
         witness = report.mutual_exclusion_violations[0]

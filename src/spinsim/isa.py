@@ -128,6 +128,14 @@ class Program:
         return tuple(strictly_inside(ranges, pc) for pc in range(len(self.instructions) + 1))
 
     @cached_property
+    def kernels(self) -> tuple:
+        """The step kernel of each pc (`machine.build_kernels`), built on
+        the first step and then shared by every caller."""
+        from . import machine  # machine imports isa
+
+        return machine.build_kernels(self)
+
+    @cached_property
     def region_at(self) -> tuple[tuple[int, ...], ...]:
         """The indices of the regions that hold each pc
         0..len(instructions), ascending."""

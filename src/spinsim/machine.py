@@ -33,9 +33,18 @@ Per-opcode semantics:
     B / BNE / BEQ      jump always / if Z clear / if Z set
     NOP                nothing
 
+Those semantics live in one place, the program's kernel table
+(`build_kernels`): one kernel per pc, with that instruction's operands,
+branch target, immediate mask and end-of-program exit resolved once.
+`Program.kernels` builds the table on a program's first step, never at
+parse or lint time, and the runner, the explorer and the debugger all
+share it. A kernel takes a thread record and a memory and returns the
+new record and memory; the memory is the same object unless the
+instruction stored, and traces and explorer keys test for that with `is`.
+
 Two stepping modes:
 
-    HW   one step() retires exactly one instruction.
+    HW   one step() retires exactly one instruction, one kernel call.
     GDB  reproduces a debugger that cannot stop between LDREX and its
          matching STREX: a step starting at an LDREX retires
          instructions until the PC leaves the static [LDREX, STREX]
@@ -52,9 +61,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .isa import Program
+from .isa import Instruction, Program
 
 MASK32 = 0xFFFFFFFF
 
@@ -70,6 +79,11 @@ _ATOMIC_STEP_LIMIT = 4096
 class ExecMode(enum.Enum):
     GDB = "gdb"
     HW = "hw"
+
+
+# On CPython 3.11 reading an enum member through its class costs several
+# times a module-global read, once per step; `step` reads this name.
+_HW = ExecMode.HW
 
 
 class ThreadState(NamedTuple):
@@ -89,8 +103,7 @@ class ThreadState(NamedTuple):
 Memory = tuple[tuple[int, int], ...]   # (value, version) per data word
 
 
-@dataclass
-class StepOutcome:
+class StepOutcome(NamedTuple):
     # (record before, record after, memory before, memory after) per
     # retired instruction
     executed: list[tuple[ThreadState, ThreadState, Memory, Memory]]
@@ -139,94 +152,231 @@ def init_machine(
     )
 
 
-def _execute_one(m: MachineState, t: ThreadState) -> ThreadState:
-    """Retire the instruction at `t.pc` for a thread in state `t`: put
-    the memory its store leaves in `m.memory` and return the thread's
-    new record."""
-    prog = m.program
-    memory = m.memory
-    word_index = prog.word_index
-    regs, z, n, pc, granule, version, _, _ = t
-    ins = prog.instructions[pc]
-    op = ins.opcode
-    ops = ins.operands
-    next_pc = pc + 1
-    fault = None
-    rd = None                      # register written, with `value`
-    store_word = None              # word index stored, with `store_value`
-    if op in ("MOV", "CMP", "ADD"):
-        kind, src = ops[-1]        # a register or an immediate
-        if kind == "reg":
-            src = regs[src]
+Kernel = Callable[[ThreadState, Memory], tuple[ThreadState, Memory]]
 
-    if op == "MOV":
-        rd, value = ops[0][1], src
-    elif op == "LDR_ADDR":
-        rd, value = ops[0][1], prog.sym_addr[ops[1][1]]
-    elif op == "LDR_MEM" or op == "LDREX":
-        addr = regs[ops[1][1]]
-        w = word_index.get(addr)
-        if w is None:
-            fault = "bus error"
-        else:
-            rd = ops[0][1]
-            value, word_version = memory[w]
-            if op == "LDREX":
-                granule, version = addr, word_version
-    elif op == "STR":
-        addr = regs[ops[1][1]]
-        w = word_index.get(addr)
-        if w is None:
-            fault = "bus error"
-        else:
-            store_word, store_value = w, regs[ops[0][1]]
-    elif op == "STREX":
-        addr = regs[ops[2][1]]
-        w = word_index.get(addr)
-        if w is None:
-            fault = "bus error"
-        else:
-            rd = ops[0][1]
-            if granule == addr and version == memory[w][1]:
-                store_word, store_value, value = w, regs[ops[1][1]], 0
-            else:
-                value = 1
-            granule = None
-    elif op == "CLREX":
-        granule = None
-    elif op == "CMP":
-        d = (regs[ops[0][1]] - src) & MASK32
-        z = d == 0
-        n = bool(d & 0x80000000)
-    elif op == "ADD":
-        rd, value = ops[0][1], regs[ops[1][1]] + src
-    elif op in ("B", "BNE", "BEQ"):
-        if op == "B" or (op == "BNE" and not z) or (op == "BEQ" and z):
-            target = prog.labels[ops[0][1]]
-            if not 0 <= target <= len(prog.instructions):
-                fault = "bad branch"
-            else:
-                next_pc = target
-    elif op != "NOP":  # pragma: no cover - parser admits no other opcode
-        raise AssertionError(f"unhandled opcode {op}")
+# tuple.__new__ skips the Python-level NamedTuple __new__, about half the
+# cost of the one record each retired instruction builds.
+_new = tuple.__new__
 
-    status = RUNNABLE
-    if fault is not None:
-        status, granule, next_pc = FAULTED, None, pc
-    elif next_pc == len(prog.instructions):
-        status, granule = EXITED, None
-    if rd is not None:
-        value &= MASK32
+
+def build_kernels(program: Program) -> tuple[Kernel, ...]:
+    """The program's kernel table: `kernels[pc](t, memory)` retires the
+    instruction at `pc` for the runnable thread record `t` and returns
+    its new record and the memory after it, the same object unless the
+    instruction stored. Operands, branch targets, immediate masks and
+    the end-of-program exit are resolved here, once; registers and
+    memory words hold 32-bit values, so only immediates, sums and
+    differences are masked."""
+    end = len(program.instructions)
+    labels = program.labels
+    table = []
+    for pc, ins in enumerate(program.instructions):
+        kernel = _KERNEL_OF[ins.opcode](program, ins, pc + 1)
+        if pc + 1 == end or (ins.opcode in _BRANCHES and labels[ins.operands[0][1]] == end):
+            kernel = _exiting(kernel, end)
+        table.append(kernel)
+    return tuple(table)
+
+
+def _exiting(kernel: Kernel, end: int) -> Kernel:
+    def exiting(t, memory):
+        # Retiring into the end of the program exits, dropping the monitor.
+        after, memory = kernel(t, memory)
+        if after.pc == end:
+            regs, z, n, _, _, version, _, _ = after
+            after = _new(ThreadState, (regs, z, n, end, None, version, EXITED, None))
+        return after, memory
+
+    return exiting
+
+
+def _fault(t: ThreadState, reason: str) -> ThreadState:
+    """`t` halted at its own pc with an open monitor."""
+    regs, z, n, pc, _, version, _, _ = t
+    return _new(ThreadState, (regs, z, n, pc, None, version, FAULTED, reason))
+
+
+# One kernel maker per opcode: `(program, instruction, next pc)`. Where
+# the last operand is a register or an immediate, the maker picks the
+# kernel for its kind.
+
+
+def _set_reg(rd: int, value: int, nxt: int) -> Kernel:
+    def kernel(t, memory):
+        regs, z, n, _, granule, version, _, _ = t
+        regs = list(regs)
+        regs[rd] = value
+        return _new(ThreadState, (tuple(regs), z, n, nxt, granule, version, RUNNABLE, None)), memory
+
+    return kernel
+
+
+def _mov(program: Program, ins: Instruction, nxt: int) -> Kernel:
+    (_, rd), (kind, src) = ins.operands
+
+    def mov_reg(t, memory):
+        regs, z, n, _, granule, version, _, _ = t
+        regs = list(regs)
+        regs[rd] = regs[src]
+        return _new(ThreadState, (tuple(regs), z, n, nxt, granule, version, RUNNABLE, None)), memory
+
+    return mov_reg if kind == "reg" else _set_reg(rd, src & MASK32, nxt)
+
+
+def _ldr_addr(program: Program, ins: Instruction, nxt: int) -> Kernel:
+    (_, rd), (_, sym) = ins.operands
+    return _set_reg(rd, program.sym_addr[sym], nxt)
+
+
+def _add(program: Program, ins: Instruction, nxt: int) -> Kernel:
+    (_, rd), (_, rn), (kind, src) = ins.operands
+
+    def add_imm(t, memory):
+        regs, z, n, _, granule, version, _, _ = t
+        regs = list(regs)
+        regs[rd] = (regs[rn] + src) & MASK32
+        return _new(ThreadState, (tuple(regs), z, n, nxt, granule, version, RUNNABLE, None)), memory
+
+    def add_reg(t, memory):
+        regs, z, n, _, granule, version, _, _ = t
+        regs = list(regs)
+        regs[rd] = (regs[rn] + regs[src]) & MASK32
+        return _new(ThreadState, (tuple(regs), z, n, nxt, granule, version, RUNNABLE, None)), memory
+
+    return add_reg if kind == "reg" else add_imm
+
+
+def _cmp(program: Program, ins: Instruction, nxt: int) -> Kernel:
+    (_, ra), (kind, src) = ins.operands
+
+    # Z: the 32-bit difference is zero; N: its bit 31 is set.
+    def cmp_imm(t, memory):
+        regs, _, _, _, granule, version, _, _ = t
+        d = (regs[ra] - src) & MASK32
+        z, n = d == 0, d > 0x7FFFFFFF
+        return _new(ThreadState, (regs, z, n, nxt, granule, version, RUNNABLE, None)), memory
+
+    def cmp_reg(t, memory):
+        regs, _, _, _, granule, version, _, _ = t
+        d = (regs[ra] - regs[src]) & MASK32
+        z, n = d == 0, d > 0x7FFFFFFF
+        return _new(ThreadState, (regs, z, n, nxt, granule, version, RUNNABLE, None)), memory
+
+    return cmp_reg if kind == "reg" else cmp_imm
+
+
+def _ldr_mem(program: Program, ins: Instruction, nxt: int) -> Kernel:
+    (_, rd), (_, rn) = ins.operands
+    word_index = program.word_index
+
+    def kernel(t, memory):
+        regs, z, n, _, granule, version, _, _ = t
+        w = word_index.get(regs[rn])
+        if w is None:
+            return _fault(t, "bus error"), memory
+        regs = list(regs)
+        regs[rd] = memory[w][0]
+        return _new(ThreadState, (tuple(regs), z, n, nxt, granule, version, RUNNABLE, None)), memory
+
+    return kernel
+
+
+def _ldrex(program: Program, ins: Instruction, nxt: int) -> Kernel:
+    (_, rd), (_, rn) = ins.operands
+    word_index = program.word_index
+
+    def kernel(t, memory):
+        regs, z, n, _, _, _, _, _ = t
+        addr = regs[rn]
+        w = word_index.get(addr)
+        if w is None:
+            return _fault(t, "bus error"), memory
+        regs = list(regs)
+        regs[rd], version = memory[w]
+        return _new(ThreadState, (tuple(regs), z, n, nxt, addr, version, RUNNABLE, None)), memory
+
+    return kernel
+
+
+def _str(program: Program, ins: Instruction, nxt: int) -> Kernel:
+    (_, rm), (_, rn) = ins.operands
+    word_index = program.word_index
+
+    def kernel(t, memory):
+        regs, z, n, _, granule, version, _, _ = t
+        w = word_index.get(regs[rn])
+        if w is None:
+            return _fault(t, "bus error"), memory
+        stored = list(memory)
+        stored[w] = (regs[rm], memory[w][1] + 1)
+        after = _new(ThreadState, (regs, z, n, nxt, granule, version, RUNNABLE, None))
+        return after, tuple(stored)
+
+    return kernel
+
+
+def _strex(program: Program, ins: Instruction, nxt: int) -> Kernel:
+    (_, rd), (_, rm), (_, rn) = ins.operands
+    word_index = program.word_index
+
+    def kernel(t, memory):
+        regs, z, n, _, granule, version, _, _ = t
+        addr = regs[rn]
+        w = word_index.get(addr)
+        if w is None:
+            return _fault(t, "bus error"), memory
         new_regs = list(regs)
-        new_regs[rd] = value
-        regs = tuple(new_regs)
-    if store_word is not None:
-        new_memory = list(memory)
-        new_memory[store_word] = (store_value & MASK32, memory[store_word][1] + 1)
-        m.memory = tuple(new_memory)
-    # tuple.__new__ skips the Python-level ThreadState.__new__, about half
-    # the cost of the one record built per retired instruction.
-    return tuple.__new__(ThreadState, (regs, z, n, next_pc, granule, version, status, fault))
+        if granule == addr and version == memory[w][1]:
+            new_regs[rd] = 0
+            stored = list(memory)
+            stored[w] = (regs[rm], version + 1)
+            memory = tuple(stored)
+        else:
+            new_regs[rd] = 1
+        after = _new(ThreadState, (tuple(new_regs), z, n, nxt, None, version, RUNNABLE, None))
+        return after, memory
+
+    return kernel
+
+
+def _nop(program: Program, ins: Instruction, nxt: int) -> Kernel:
+    """NOP, and CLREX, which also opens the monitor."""
+    clear = ins.opcode == "CLREX"
+
+    def kernel(t, memory):
+        regs, z, n, _, granule, version, _, _ = t
+        granule = None if clear else granule
+        return _new(ThreadState, (regs, z, n, nxt, granule, version, RUNNABLE, None)), memory
+
+    return kernel
+
+
+def _branch(program: Program, ins: Instruction, nxt: int) -> Kernel:
+    """B, BNE and BEQ: the pc to take with Z set and with Z clear, None
+    where taking a branch to a target outside the program faults."""
+    op = ins.opcode
+    target = program.labels[ins.operands[0][1]]
+    if not 0 <= target <= len(program.instructions):
+        target = None
+    if_z = nxt if op == "BNE" else target
+    if_not_z = nxt if op == "BEQ" else target
+
+    def kernel(t, memory):
+        regs, z, n, _, granule, version, _, _ = t
+        to = if_z if z else if_not_z
+        if to is None:
+            return _fault(t, "bad branch"), memory
+        return _new(ThreadState, (regs, z, n, to, granule, version, RUNNABLE, None)), memory
+
+    return kernel
+
+
+_BRANCHES = frozenset({"B", "BNE", "BEQ"})
+_KERNEL_OF = {
+    "MOV": _mov, "LDR_ADDR": _ldr_addr, "LDR_MEM": _ldr_mem, "LDREX": _ldrex, "STR": _str,
+    "STREX": _strex, "CLREX": _nop, "CMP": _cmp, "ADD": _add, "NOP": _nop,
+    "B": _branch, "BNE": _branch, "BEQ": _branch,
+}
 
 
 def step(machine: MachineState, thread_id: int) -> StepOutcome:
@@ -246,14 +396,20 @@ def step(machine: MachineState, thread_id: int) -> StepOutcome:
     threads = machine.threads
     t = threads[thread_id]
     if t.status != RUNNABLE:
-        return StepOutcome([], t.status)
+        return _new(StepOutcome, ([], t.status))
+    kernels = machine.program.kernels
+    memory = machine.memory
+    machine.step_count += 1
+    if machine.mode is _HW:
+        after, machine.memory = kernels[t.pc](t, memory)
+        threads[thread_id] = after
+        return _new(StepOutcome, ([(t, after, memory, machine.memory)], after.status))
 
     executed: list[tuple[ThreadState, ThreadState, Memory, Memory]] = []
-    inside = machine.program.inside_range if machine.mode is ExecMode.GDB else None
+    inside = machine.program.inside_range
     while True:
-        memory = machine.memory
-        after = _execute_one(machine, t)
-        more = after.status == RUNNABLE and inside is not None and inside[after.pc] is not None
+        after, machine.memory = kernels[t.pc](t, memory)
+        more = after.status == RUNNABLE and inside[after.pc] is not None
         if more and len(executed) == _ATOMIC_STEP_LIMIT - 1:
             # The limit faults the thread in the record of the
             # instruction that reached it, so its event names the fault.
@@ -261,8 +417,6 @@ def step(machine: MachineState, thread_id: int) -> StepOutcome:
             more = False
         threads[thread_id] = after
         executed.append((t, after, memory, machine.memory))
-        t = after
+        t, memory = after, machine.memory
         if not more:
-            break
-    machine.step_count += 1
-    return StepOutcome(executed, t.status)
+            return _new(StepOutcome, (executed, t.status))

@@ -33,10 +33,14 @@ tuple of ints, in the manner of SPIN's "collapse" compression (Holzmann,
 State Compression in SPIN, 1997): each thread record and each memory
 tuple is interned once per exploration, and the key holds their ids.
 Both are immutable values, so `_freeze` interns what `step` left in
-the machine and `_thaw` assigns interned values back. One step changes
-one thread and at most memory, so a child's key reuses its parent's
-other ids, and after each child only the stepped thread and memory are
-put back.
+the machine and `_thaw` assigns interned values back, once per popped
+state; its thread list serves the region check, the runnable scan and
+every child. One step changes one thread and at most memory, so a
+child's key reuses its parent's other ids, and after each child only
+the stepped thread and memory are put back. A path is a parent chain,
+`(parent path, tid)` with its depth kept beside it, so pushing a child
+costs the same at any depth; it becomes a list of thread ids only for a
+reported violation or a witness.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from itertools import islice
 
 from .isa import Program
 from .machine import (
+    FAULTED,
     RUNNABLE,
     ExecMode,
     MachineState,
@@ -336,6 +341,7 @@ class ExploreReport:
     mutual_exclusion_violations: list[list[int]]
     truncated: bool
     witnesses: dict[tuple[tuple[str, int], ...], list[int]] = field(default_factory=dict)
+    faulted_terminal_states: int = 0   # terminal states in which some thread faulted
 
     @property
     def final_memories(self) -> list[dict[str, int]]:
@@ -374,6 +380,7 @@ def _freeze(
     intern = table.intern
     if parent is None:
         return tuple([intern(t) for t in machine.threads] + [intern(machine.memory)])
+    # A list edit: on CPython 3.11 it is cheaper than tuple slicing.
     key = list(parent)
     key[tid] = intern(machine.threads[tid])
     if machine.memory is not table.parts[parent[-1]]:
@@ -381,21 +388,23 @@ def _freeze(
     return tuple(key)
 
 
-def _thaw(
-    machine: MachineState,
-    key: tuple[int, ...],
-    table: _InternTable,
-    tid: int | None = None,
-) -> None:
-    """Load state `key` into the machine: every thread, or only thread
-    `tid` when the machine already holds `key` apart from that thread's
-    last step; memory either way."""
+def _thaw(machine: MachineState, key: tuple[int, ...], table: _InternTable) -> list[ThreadState]:
+    """Load state `key` into the machine and return its thread list."""
     parts = table.parts
-    if tid is None:
-        machine.threads[:] = [parts[i] for i in key[:-1]]
-    else:
-        machine.threads[tid] = parts[key[tid]]
     machine.memory = parts[key[-1]]
+    threads = machine.threads = [parts[i] for i in key[:-1]]
+    return threads
+
+
+def _schedule(path: tuple | None) -> list[int]:
+    """The thread ids of an explorer path, a `(parent path, tid)` chain
+    ending in None, from the root on."""
+    tids = []
+    while path is not None:
+        path, tid = path
+        tids.append(tid)
+    tids.reverse()
+    return tids
 
 
 def explore(
@@ -419,20 +428,20 @@ def explore(
     syms = list(program.data_words)
     regions = program.regions
     table = _InternTable()
-    parts = table.parts
 
     final_states: set = set()
     witnesses: dict = {}
     violations: list[list[int]] = []
     schedules_explored = 0
+    faulted_terminal_states = 0
     truncated = False
 
-    root = _freeze(machine, table)
-    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [(root, ())]
+    # A path is a (parent path, tid) chain; `_schedule` lists it.
+    stack: list[tuple[tuple[int, ...], tuple | None, int]] = [(_freeze(machine, table), None, 0)]
     visited: set[tuple[int, ...]] = set()
 
     while stack:
-        key, path = stack.pop()
+        key, path, depth = stack.pop()
         if key in visited:
             continue
         if len(visited) >= max_states:
@@ -440,28 +449,34 @@ def explore(
             break
         visited.add(key)
 
-        threads = [parts[i] for i in key[:-1]]
+        threads = _thaw(machine, key, table)
         if regions and crowded_regions(program, threads):
-            violations.append(list(path))
+            violations.append(_schedule(path))
 
         runnable = [i for i, t in enumerate(threads) if t.status == RUNNABLE]
         if not runnable:
-            memory_key = tuple(sorted(zip(syms, [value for value, _ in parts[key[-1]]])))
+            memory_key = tuple(sorted(zip(syms, [value for value, _ in machine.memory])))
             final_states.add(memory_key)
-            witnesses.setdefault(memory_key, list(path))
+            if memory_key not in witnesses:
+                witnesses[memory_key] = _schedule(path)
             schedules_explored += 1
+            faulted_terminal_states += any(t.status == FAULTED for t in threads)
             continue
-        if len(path) >= max_steps:
+        if depth >= max_steps:
             truncated = True
             continue
 
-        _thaw(machine, key, table)
+        # One step changes one thread and at most memory: put back those two.
+        memory = machine.memory
+        depth += 1
         for tid in reversed(runnable):
+            t = threads[tid]
             step(machine, tid)
             child = _freeze(machine, table, key, tid)
             if child not in visited:
-                stack.append((child, path + (tid,)))
-            _thaw(machine, key, table, tid)
+                stack.append((child, (path, tid), depth))
+            threads[tid] = t
+            machine.memory = memory
 
     return ExploreReport(
         final_states=final_states,
@@ -469,6 +484,7 @@ def explore(
         mutual_exclusion_violations=violations,
         truncated=truncated,
         witnesses=witnesses,
+        faulted_terminal_states=faulted_terminal_states,
     )
 
 

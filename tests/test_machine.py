@@ -5,17 +5,26 @@ import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinsim
-from spinsim.isa import parse_program, strictly_inside
+from spinsim import machine as machine_module
+from spinsim.debug import DebugSession
+from spinsim.isa import DATA_BASE, Instruction, Program, parse_program, strictly_inside
+from spinsim.lint import lint
 from spinsim.machine import (
     EXITED,
     FAULTED,
+    MASK32,
     RUNNABLE,
     ExecMode,
+    MachineState,
+    ThreadState,
     init_machine,
     step,
 )
+from spinsim.sched import ScheduleScript, explore, run_schedule
 
 TWO_WORDS = ".data lockVar 0\n.data accountBalance 100\n"
 
@@ -433,3 +442,267 @@ def test_only_isa_relates_pcs_to_regions():
             if isinstance(node, ast.Attribute) and node.attr in ("start", "end"):
                 readers.add(path.stem)
     assert readers == {"isa"}
+
+
+# --- Differential check of the kernel table against the decoding interpreter ---
+
+
+def reference_execute(m: MachineState, t: ThreadState) -> ThreadState:
+    """The decode-every-time interpreter the kernel table replaced: retire
+    the instruction at `t.pc` for a thread in state `t`, put the memory
+    its store leaves in `m.memory` and return the thread's new record."""
+    prog = m.program
+    memory = m.memory
+    word_index = prog.word_index
+    regs, z, n, pc, granule, version, _, _ = t
+    ins = prog.instructions[pc]
+    op = ins.opcode
+    ops = ins.operands
+    next_pc = pc + 1
+    fault = None
+    rd = None                      # register written, with `value`
+    store_word = None              # word index stored, with `store_value`
+    if op in ("MOV", "CMP", "ADD"):
+        kind, src = ops[-1]        # a register or an immediate
+        if kind == "reg":
+            src = regs[src]
+
+    if op == "MOV":
+        rd, value = ops[0][1], src
+    elif op == "LDR_ADDR":
+        rd, value = ops[0][1], prog.sym_addr[ops[1][1]]
+    elif op == "LDR_MEM" or op == "LDREX":
+        addr = regs[ops[1][1]]
+        w = word_index.get(addr)
+        if w is None:
+            fault = "bus error"
+        else:
+            rd = ops[0][1]
+            value, word_version = memory[w]
+            if op == "LDREX":
+                granule, version = addr, word_version
+    elif op == "STR":
+        addr = regs[ops[1][1]]
+        w = word_index.get(addr)
+        if w is None:
+            fault = "bus error"
+        else:
+            store_word, store_value = w, regs[ops[0][1]]
+    elif op == "STREX":
+        addr = regs[ops[2][1]]
+        w = word_index.get(addr)
+        if w is None:
+            fault = "bus error"
+        else:
+            rd = ops[0][1]
+            if granule == addr and version == memory[w][1]:
+                store_word, store_value, value = w, regs[ops[1][1]], 0
+            else:
+                value = 1
+            granule = None
+    elif op == "CLREX":
+        granule = None
+    elif op == "CMP":
+        d = (regs[ops[0][1]] - src) & MASK32
+        z = d == 0
+        n = bool(d & 0x80000000)
+    elif op == "ADD":
+        rd, value = ops[0][1], regs[ops[1][1]] + src
+    elif op in ("B", "BNE", "BEQ"):
+        if op == "B" or (op == "BNE" and not z) or (op == "BEQ" and z):
+            target = prog.labels[ops[0][1]]
+            if not 0 <= target <= len(prog.instructions):
+                fault = "bad branch"
+            else:
+                next_pc = target
+    elif op != "NOP":
+        raise AssertionError(f"unhandled opcode {op}")
+
+    status = RUNNABLE
+    if fault is not None:
+        status, granule, next_pc = FAULTED, None, pc
+    elif next_pc == len(prog.instructions):
+        status, granule = EXITED, None
+    if rd is not None:
+        value &= MASK32
+        new_regs = list(regs)
+        new_regs[rd] = value
+        regs = tuple(new_regs)
+    if store_word is not None:
+        new_memory = list(memory)
+        new_memory[store_word] = (store_value & MASK32, memory[store_word][1] + 1)
+        m.memory = tuple(new_memory)
+    return ThreadState(regs, z, n, next_pc, granule, version, status, fault)
+
+
+
+_SYMS = ("a", "b", "c")
+_REG = st.integers(0, 12)
+_IMM = st.one_of(
+    st.sampled_from((0, 1, -1, 2**31 - 1, -(2**31))), st.integers(-(2**31), 2**31 - 1)
+)
+# Mapped words, unaligned and unmapped addresses, and wrap-prone values.
+_REG_VALUE = st.one_of(
+    st.sampled_from(
+        (0, 1, 2, MASK32, 0x80000000, 0x7FFFFFFF, DATA_BASE, DATA_BASE + 4, DATA_BASE + 8)
+    ),
+    st.integers(DATA_BASE - 4, DATA_BASE + 16),
+    st.integers(0, MASK32),
+)
+
+
+# Operand kinds per opcode, as `isa` parses them; "src" is a register or
+# an immediate.
+_SIGNATURES = {
+    "MOV": ("reg", "src"), "LDR_ADDR": ("reg", "sym"), "LDR_MEM": ("reg", "mem"),
+    "LDREX": ("reg", "mem"), "STR": ("reg", "mem"), "STREX": ("reg", "reg", "mem"),
+    "CLREX": (), "NOP": (), "CMP": ("reg", "src"), "ADD": ("reg", "reg", "src"),
+    "B": ("label",), "BNE": ("label",), "BEQ": ("label",),
+}
+
+
+def _operand(draw, kind: str, labels: list[str], syms: list[str]) -> tuple:
+    if kind == "src":
+        kind = draw(st.sampled_from(("reg", "imm")))
+    value = {
+        "reg": _REG, "mem": _REG, "imm": _IMM,
+        "sym": st.sampled_from(syms), "label": st.sampled_from(labels),
+    }[kind]
+    return (kind, draw(value))
+
+
+@st.composite
+def kernel_cases(draw, opcode: str):
+    """A hand-built program (operands of every kind, branch targets in
+    and out of range) with `opcode` at the pc of a runnable thread
+    record, and a memory."""
+    size = draw(st.integers(1, 6))
+    pc = draw(st.integers(0, size - 1))
+    words = draw(st.integers(1, len(_SYMS)))
+    labels = {f"L{i}": draw(st.integers(-2, size + 2)) for i in range(3)}
+    syms = list(_SYMS[:words])
+    opcodes = draw(st.lists(st.sampled_from(sorted(_SIGNATURES)), min_size=size, max_size=size))
+    opcodes[pc] = opcode
+    instructions = [
+        Instruction(op, tuple(_operand(draw, kind, list(labels), syms) for kind in _SIGNATURES[op]))
+        for op in opcodes
+    ]
+    program = Program(instructions, labels, {sym: 0 for sym in syms}, regions=[])
+    regs = tuple(draw(st.lists(_REG_VALUE, min_size=13, max_size=13)))
+    granule = draw(st.one_of(st.none(), st.sampled_from(regs), _REG_VALUE))
+    t = ThreadState(
+        regs,
+        z=draw(st.booleans()),
+        n=draw(st.booleans()),
+        pc=pc,
+        mon_granule=granule,
+        mon_version=draw(st.integers(0, 2)),
+    )
+    memory = tuple((draw(_REG_VALUE), draw(st.integers(0, 2))) for _ in range(words))
+    return program, t, memory
+
+
+def _case(source: str, *, pc: int = 0, regs: dict | None = None, granule=None, version=0):
+    """A parsed one-word program, a thread record and a memory holding 7
+    at version 1."""
+    program = parse_program(".data a 0\n" + source)
+    values = [0] * 13
+    for r, v in (regs or {}).items():
+        values[r] = v
+    t = ThreadState(tuple(values), pc=pc, mon_granule=granule, mon_version=version)
+    return program, t, ((7, 1),)
+
+
+def _hand_built(opcode: str, target: int, z: bool):
+    """A branch to `target` and a NOP, and a thread record at the branch."""
+    instructions = [Instruction(opcode, (("label", "x"),)), Instruction("NOP", ())]
+    program = Program(instructions, {"x": target}, {"a": 0}, [])
+    return program, ThreadState((0,) * 13, z=z), ((0, 0),)
+
+
+NAMED_KERNEL_CASES = {
+    "add wraps below zero": lambda: _case("    ADD R1, R2, #-1\n"),
+    "add wraps above 2**32": lambda: _case("    ADD R1, R2, R3\n", regs={2: MASK32, 3: 2}),
+    "cmp 32-bit difference": lambda: _case("    CMP R1, #-1\n"),
+    "cmp N clear at 2**31 - 1": lambda: _case("    CMP R1, #-1\n", regs={1: 0x7FFFFFFE}),
+    "cmp N set at 2**31": lambda: _case("    CMP R1, R2\n", regs={1: 0x80000000}),
+    "mov negative immediate": lambda: _case("    MOV R1, #-5\n"),
+    "mov register": lambda: _case("    MOV R1, R2\n", regs={2: 9}),
+    "ldr unmapped": lambda: _case("    LDR R1, [R2]\n"),
+    "ldr unaligned": lambda: _case("    LDR R1, [R2]\n", regs={2: DATA_BASE + 2}),
+    "str": lambda: _case("    STR R1, [R2]\n", regs={1: 3, 2: DATA_BASE}),
+    "strex success": lambda: _case(
+        "    STREX R1, R3, [R2]\n", regs={1: 4, 2: DATA_BASE, 3: 9}, granule=DATA_BASE, version=1
+    ),
+    "strex success into its value register": lambda: _case(
+        "    STREX R1, R1, [R2]\n", regs={1: 9, 2: DATA_BASE}, granule=DATA_BASE, version=1
+    ),
+    "strex stale version": lambda: _case(
+        "    STREX R1, R3, [R2]\n", regs={2: DATA_BASE}, granule=DATA_BASE, version=0
+    ),
+    "strex unmapped": lambda: _case("    STREX R1, R3, [R2]\n", regs={2: DATA_BASE + 4}),
+    "ldrex": lambda: _case("    LDREX R2, [R2]\n    NOP\n", regs={2: DATA_BASE}),
+    "clrex": lambda: _case("    CLREX\n    NOP\n", granule=DATA_BASE, version=1),
+    "exit at program end": lambda: _case("    NOP\n    NOP\n", pc=1, granule=DATA_BASE),
+    "branch to program end": lambda: _case("    B done\n    NOP\ndone:\n", granule=DATA_BASE),
+    "branch past program end": lambda: _hand_built("B", 99, False),
+    "branch before program start": lambda: _hand_built("BEQ", -1, True),
+}
+
+
+def assert_kernel_matches_reference(program: Program, t: ThreadState, memory) -> None:
+    """The kernel returns the record and memory the decoding interpreter
+    does, and hands back the same memory object exactly when nothing was
+    stored: traces and explorer keys test it with `is`."""
+    m = MachineState(program, ExecMode.HW, [t], memory)
+    want = reference_execute(m, t)
+    got, got_memory = program.kernels[t.pc](t, memory)
+    assert got == want
+    assert got_memory == m.memory
+    assert (got_memory is memory) == (m.memory is memory)
+
+
+@pytest.mark.parametrize("name", list(NAMED_KERNEL_CASES))
+def test_kernel_matches_reference_on_named_cases(name):
+    assert_kernel_matches_reference(*NAMED_KERNEL_CASES[name]())
+
+
+@pytest.mark.parametrize("opcode", sorted(_SIGNATURES))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_kernel_matches_reference(opcode, data):
+    assert_kernel_matches_reference(*data.draw(kernel_cases(opcode)))
+
+
+# --- The kernel table is built lazily, once per Program ---
+
+
+def _count_builds(monkeypatch) -> list:
+    built = []
+    original = machine_module.build_kernels
+
+    def counted(program):
+        built.append(program)
+        return original(program)
+
+    monkeypatch.setattr(machine_module, "build_kernels", counted)
+    return built
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in spinsim.corpus_dir().glob("*.s")))
+def test_parse_and_lint_never_build_the_kernel_table(name, monkeypatch):
+    built = _count_builds(monkeypatch)
+    program = parse_program(spinsim.corpus_path(name).read_text(encoding="utf-8"))
+    lint(program)
+    assert built == [] and "kernels" not in vars(program)
+
+
+def test_one_program_builds_its_kernel_table_once(load_corpus, monkeypatch):
+    built = _count_builds(monkeypatch)
+    program = load_corpus("lock_regcmp.s")
+    run_schedule(init_machine(program, 2), ScheduleScript(entries=[(0, 3), (1, 2)]))
+    explore(program, 2)
+    session = DebugSession(program, 2, ExecMode.GDB)
+    session.handle("step 3")
+    run_schedule(init_machine(program, 3, ExecMode.GDB), ScheduleScript(entries=[]))
+    assert built == [program]

@@ -593,6 +593,33 @@ def test_cli_explore_exit_codes(corpus_file, capsys):
     capsys.readouterr()
 
 
+def test_cli_explore_counts_terminal_states_with_a_faulted_thread(tmp_path, capsys):
+    """Every thread bus-faults on an unaligned load: the report says so,
+    and the exit code stays that of a clean exploration."""
+    source = tmp_path / "unaligned.s"
+    source.write_text(".data x 0\n    LDR R1, =x\n    ADD R1, R1, #2\n    LDR R0, [R1]\n    NOP\n")
+    assert main(["explore", str(source), "--threads", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "schedules explored: 1\n"
+        "distinct final states: 1\n"
+        "  x = 0\n"
+        "terminal states with a faulted thread: 1\n"
+        "mutual-exclusion violations: 0\n"
+        "truncated: False\n"
+    )
+    # No fault, no line: corpus output stays as it was.
+    source.write_text(".data x 0\n    LDR R1, =x\n    LDR R0, [R1]\n    NOP\n")
+    assert main(["explore", str(source), "--threads", "2"]) == 0
+    assert "faulted" not in capsys.readouterr().out
+
+
+def test_cli_explore_final_state_without_data_words(tmp_path, capsys):
+    source = tmp_path / "nop.s"
+    source.write_text("    NOP\n")
+    assert main(["explore", str(source), "--threads", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:3] == ["distinct final states: 1", "  (no data words)"]
+
+
 def test_cli_explore_rejects_region_holding_the_entry(tmp_path, capsys):
     source = tmp_path / "entry_in.s"
     source.write_text(".region crit enter leave\nenter:\n    NOP\nleave:\n    NOP\n")

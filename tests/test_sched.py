@@ -530,6 +530,32 @@ def test_explore_calls_freeze_and_thaw(load_corpus, monkeypatch):
     assert calls["_freeze"] > 0 and calls["_thaw"] > 0
 
 
+@pytest.mark.parametrize(
+    "name, threads, states, transitions, terminal",
+    [("lock_basic.s", 3, 13_380, 35_382, 6), ("unlocked_inc.s", 4, 2_765, 6_136, 109)],
+)
+def test_explore_graph_size_is_pinned(load_corpus, monkeypatch, name, threads, states, transitions, terminal):
+    """The unreduced state graph, counted as perfbench counts it: states
+    are distinct `_freeze` results, transitions are `sched.step` calls."""
+    keys, steps = set(), []
+    freeze, original_step = sched._freeze, sched.step
+
+    def counted_freeze(*args):
+        key = freeze(*args)
+        keys.add(key)
+        return key
+
+    def counted_step(*args):
+        steps.append(args[1])
+        return original_step(*args)
+
+    monkeypatch.setattr(sched, "_freeze", counted_freeze)
+    monkeypatch.setattr(sched, "step", counted_step)
+    rep = explore(load_corpus(name), threads)
+    assert not rep.truncated
+    assert (len(keys), len(steps), rep.schedules_explored) == (states, transitions, terminal)
+
+
 def test_benchmark_workloads_pass_under_the_tracer(monkeypatch, tmp_path):
     """Every perfbench job, run once at smoke size under perfbench's
     tracer, passes its own check, and every wrapped layer its workload
