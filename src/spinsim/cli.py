@@ -27,7 +27,7 @@ from . import __version__
 from .debug import DebugSession, run_repl
 from .isa import AsmError, Program, parse_program
 from .lint import lint, render_records, render_text
-from .machine import ExecMode
+from .machine import MAX_THREADS, ExecMode
 from .scenario import ScenarioError, check_expectations, load_scenario, run_scenario
 from .sched import EXPLORE_MAX_STATES, EXPLORE_MAX_STEPS, explore
 from .tamper import TamperError
@@ -100,6 +100,8 @@ def cmd_explore(args) -> int:
     for flag in ("threads", "max_steps", "max_states"):
         if getattr(args, flag) < 1:
             raise _UsageError(f"--{flag.replace('_', '-')} must be >= 1")
+    if args.threads > MAX_THREADS:
+        raise _UsageError(f"--threads must be <= {MAX_THREADS}")
     program = _load_program(args.program)
     report = explore(
         program,
@@ -141,9 +143,10 @@ def cmd_lint(args) -> int:
 def cmd_debug(args) -> int:
     if args.threads < 1:
         raise _UsageError("--threads must be >= 1")
+    if args.threads > MAX_THREADS:
+        raise _UsageError(f"--threads must be <= {MAX_THREADS}")
     program = _load_program(args.program)
-    mode = ExecMode.GDB if args.mode == "gdb" else ExecMode.HW
-    session = DebugSession(program, args.threads, mode, program_name=args.program)
+    session = DebugSession(program, args.threads, ExecMode(args.mode), program_name=args.program)
     run_repl(session)
     return EXIT_OK
 
@@ -175,7 +178,7 @@ def build_parser() -> _Parser:
     p_debug = sub.add_parser("debug", help="interactive debugger session")
     p_debug.add_argument("program")
     p_debug.add_argument("--threads", type=int, default=2)
-    p_debug.add_argument("--mode", choices=("gdb", "hw"), default="gdb")
+    p_debug.add_argument("--mode", choices=[m.value for m in ExecMode], default="gdb")
     p_debug.set_defaults(func=cmd_debug)
 
     return parser

@@ -1,35 +1,14 @@
 """Interactive GDB-style debugger over a simulated machine.
 
-Command names deliberately mirror the debugger so a published attack
-procedure transcribes one-to-one:
-
-    thread <n>                switch focus
-    step [k]                  step the focused thread; in gdb mode a step
-                              never stops inside an LDREX..STREX range
-    set $R<j> = <v>           edit a register at the current stop;
-    set $R<j> += <v>          refused where a scripted tamper could not
-                              sit: strictly inside an LDREX..STREX range
-                              in gdb mode (the debugger cannot stop
-                              there), or at a pc no label names (export
-                              could not replay it)
-    info registers            focused thread's registers, flags, pc
-    info threads              pc and nearest label for every thread
-    x <symbol>                inspect a data word
-    break <label>             set a breakpoint
-    continue                  round-robin run to the next breakpoint
-    set scheduler-locking step|off
-                              with locking off, each step also advances
-                              the other runnable threads one step
-    trace on <path>           write the session trace on quit
-    export <path>             save the session as a replayable scenario
-    quit
-
-Every dispatch and register edit is recorded, so `export` produces a
-scenario file whose replay reproduces the session's final memory and
-violations exactly; it refuses a session of more dispatches than the
-replay's step budget. `set` is a tamper: it builds the `TamperSpec` it
-records, checks it with `compile_tampers` and applies it with
-`edit_register`.
+Command names mirror GDB's, so a published attack procedure transcribes
+one-to-one; `HELP` lists them. A session parses commands and drives a
+`_Runner`. `set $R` is a tamper: `location_for_pc` names its pc,
+`compile_tampers` checks it and `edit_register` applies it. Its
+occurrence is 1 + the focused thread's retirements at that pc in the
+runner's trace: at a legal stop point every retirement starts a step,
+so that is the count of arrivals a replayed hook sees. A session holds
+at most `DEFAULT_MAX_STEPS` dispatches, a scenario's replay budget, so
+`export` writes a scenario that replays the session exactly.
 """
 
 from __future__ import annotations
@@ -41,22 +20,23 @@ from .isa import Program
 from .machine import RUNNABLE, ExecMode, init_machine
 from .sched import DEFAULT_MAX_STEPS, _Runner, witness_script
 from .scenario import Scenario, save_scenario
-from .tamper import TamperError, TamperSpec, compile_tampers, edit_register
+from .tamper import TamperError, TamperSpec, compile_tampers, edit_register, location_for_pc
 from .trace import emit_trace, summarize
-
-_CONTINUE_BUDGET = 100_000
 
 _SET_REG = re.compile(r"\$[Rr](\d+)\s*(\+=|=)\s*(-?\d+)$")
 
-HELP = """commands:
+HELP = f"""commands:
   thread <n>            switch focus to thread n
-  step [k]              step the focused thread k times (default 1)
+  step [k]              step the focused thread k times (default 1); in gdb
+                        mode a step never stops inside an LDREX..STREX range
   set $R<j> = <v>       set a register of the focused thread
   set $R<j> += <v>      adjust a register of the focused thread
                         (refused in gdb mode strictly inside an LDREX..STREX
                         range, where a debugger cannot stop, and at a pc no
                         label names, which export could not replay)
   set scheduler-locking step|off
+                        with locking off, each step also advances the other
+                        runnable threads one step
   info registers        show the focused thread's registers
   info threads          show every thread's position
   x <symbol>            show a data word
@@ -65,22 +45,14 @@ HELP = """commands:
   trace on <path>       write the session trace to <path> on quit
   export <path>         save the session as a scenario file
   quit
+a session holds at most {DEFAULT_MAX_STEPS} dispatches, the most a scenario replays
 """
 
+_BUDGET_EXHAUSTED = f"step budget exhausted: a session holds at most {DEFAULT_MAX_STEPS} dispatches"
 
-def location_for_pc(program: Program, pc: int) -> str | None:
-    """Express a pc as label+offset (nearest preceding label, else the
-    first following one with a negative offset)."""
-    name = program.nearest_label(pc)
-    if name is None:
-        following = [(idx, n) for n, idx in program.labels.items() if idx > pc]
-        if not following:
-            return None
-        name = min(following)[1]
-    offset = pc - program.labels[name]
-    if offset == 0:
-        return name
-    return f"{name}{offset:+d}"
+
+class _OutOfBudget(Exception):
+    """Raised by a dispatch the session's budget has no room for."""
 
 
 class DebugSession:
@@ -100,7 +72,6 @@ class DebugSession:
         self.scheduler_locking = "step"
         self.dispatch_log: list[int] = []
         self.recorded_tampers: list[TamperSpec] = []
-        self.exec_counts: dict[tuple[int, int], int] = {}
         self.trace_path: Path | None = None
         self.done = False
         self._summary_shown = False
@@ -108,12 +79,10 @@ class DebugSession:
     # -- execution ---------------------------------------------------------
 
     def _dispatch(self, tid: int) -> None:
-        outcome = self.runner.dispatch(tid)
+        if len(self.dispatch_log) >= DEFAULT_MAX_STEPS:
+            raise _OutOfBudget
+        self.runner.dispatch(tid)
         self.dispatch_log.append(tid)
-        if outcome is not None:
-            for before, _, _, _ in outcome.executed:
-                key = (tid, before.pc)
-                self.exec_counts[key] = self.exec_counts.get(key, 0) + 1
 
     def _stop_line(self, tid: int) -> str:
         t = self.machine.threads[tid]
@@ -166,6 +135,8 @@ class DebugSession:
                 return self._cmd_export(fields[1:])
             if cmd in ("quit", "q"):
                 return self._cmd_quit()
+        except _OutOfBudget:
+            return _BUDGET_EXHAUSTED
         except (IndexError, ValueError):
             pass
         return f"unknown or incomplete command: {line!r}\n" + HELP
@@ -213,15 +184,19 @@ class DebugSession:
         location = location_for_pc(self.program, t.pc)
         if location is None:
             return f"refused: no label names pc {t.pc}, so export could not replay the edit"
+        retired = sum(
+            1 for e in self.runner.trace
+            if e["thread"] == self.focus and e["pc"] == t.pc and "instr" in e
+        )
         spec = TamperSpec(
             thread_id=self.focus,
             location=location,
             register=reg,
             action=("set" if op == "=" else "add", value),
-            occurrence=self.exec_counts.get((self.focus, t.pc), 0) + 1,
+            occurrence=retired + 1,
         )
         try:
-            compile_tampers([spec], self.program, self.machine.mode)
+            compile_tampers([spec], self.machine)
         except TamperError as e:
             return f"refused: {e}"
         old, new = edit_register(self.machine, spec)
@@ -241,8 +216,7 @@ class DebugSession:
             for tid, t in enumerate(self.machine.threads):
                 marker = "*" if tid == self.focus else " "
                 if t.status != RUNNABLE:
-                    reason = f' ("{t.fault}")' if t.fault else ""
-                    lines.append(f"{marker} thread {tid}: {t.status}{reason}")
+                    lines.append(f"{marker} {self._stop_line(tid)}")
                 else:
                     loc = location_for_pc(self.program, t.pc) or "?"
                     ins = self.program.instructions[t.pc].text()
@@ -266,19 +240,14 @@ class DebugSession:
 
     def _cmd_continue(self) -> str:
         bp_indices = {self.program.labels[name]: name for name in self.breakpoints}
-        budget = _CONTINUE_BUDGET
-        while budget > 0:
-            runnable = self.machine.runnable_threads()
-            if not runnable:
-                return self._maybe_summary() or "all threads finished"
+        while runnable := self.machine.runnable_threads():
             for tid in runnable:
                 self._dispatch(tid)
-                budget -= 1
                 t = self.machine.threads[tid]
                 if t.status == RUNNABLE and t.pc in bp_indices:
                     self.focus = tid
                     return f"breakpoint {bp_indices[t.pc]}:\n" + self._stop_line(tid)
-        return "continue: step budget exhausted"
+        return self._maybe_summary() or "all threads finished"
 
     def _cmd_trace(self, args: list[str]) -> str:
         if len(args) != 2 or args[0] != "on":
@@ -305,8 +274,6 @@ class DebugSession:
 
     def _cmd_export(self, args: list[str]) -> str:
         path = Path(args[0])
-        if len(self.dispatch_log) > DEFAULT_MAX_STEPS:  # `run_scenario`'s budget
-            return f"cannot export: a scenario replays at most {DEFAULT_MAX_STEPS} dispatches"
         scenario = Scenario(
             threads=len(self.machine.threads),
             mode=self.machine.mode,

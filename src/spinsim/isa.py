@@ -43,6 +43,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 REGISTER_COUNT = 13  # R0..R12
+# What a data word holds, and what a literal for one may say: a signed or
+# an unsigned reading of its 32 bits.
+WORD_VALUES = range(2**32)
+WORD_LITERALS = range(-(2**31), 2**32)
 GRANULE_BYTES = 4
 DATA_BASE = 0x1000
 
@@ -301,7 +305,7 @@ def parse_program(text: str) -> Program:
                     value = int(value_text, 10)
                 except ValueError:
                     raise AsmError(lineno, f"bad initial value {value_text!r}") from None
-                if not _INT32_MIN <= value <= 2**32 - 1:
+                if value not in WORD_LITERALS:
                     raise AsmError(lineno, f"initial value {value} does not fit in 32 bits")
                 data_words[name] = value & 0xFFFFFFFF
             elif directive == ".region":

@@ -71,6 +71,10 @@ RUNNABLE = "runnable"
 EXITED = "exited"
 FAULTED = "faulted"
 
+# The most threads a machine may have, checked before `init_machine`
+# allocates; no corpus scenario or benchmark workload uses more than 10.
+MAX_THREADS = 1024
+
 # A GDB-mode step retiring more than this many instructions means the
 # program loops without leaving the exclusive range; fault rather than hang.
 _ATOMIC_STEP_LIMIT = 4096
@@ -139,6 +143,8 @@ def init_machine(
     the program's data words and then `overrides`."""
     if thread_count < 1:
         raise ValueError("thread_count must be >= 1")
+    if thread_count > MAX_THREADS:
+        raise ValueError(f"thread_count must be <= {MAX_THREADS}")
     values = dict(program.data_words)
     for name, value in (overrides or {}).items():
         if name not in values:

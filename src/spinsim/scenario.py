@@ -57,7 +57,7 @@ import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .isa import Program
+from .isa import WORD_LITERALS, WORD_VALUES, Program
 from .machine import ExecMode, init_machine
 from .sched import (
     DEFAULT_MAX_STEPS,
@@ -109,6 +109,14 @@ def _int(value, what: str) -> int:
         except ValueError:
             pass
     raise ScenarioError(f"{what} must be an integer, got {_shown(value)}")
+
+
+def _word(value, what: str, values: range) -> int:
+    """An integer field that must lie in `values`."""
+    n = _int(value, what)
+    if n not in values:
+        raise ScenarioError(f"{what} must be in {values[0]}..{values[-1]}, got {_shown(n)}")
+    return n
 
 
 def _bool(value, what: str) -> bool:
@@ -215,9 +223,6 @@ def _parse_schedule(raw) -> ScheduleScript | RandomSchedule:
     )
 
 
-_MODES = {"gdb": ExecMode.GDB, "hw": ExecMode.HW}
-
-
 def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a YAML mapping")
@@ -232,16 +237,19 @@ def parse_scenario(doc: dict) -> Scenario:
     if threads < 1:
         raise ScenarioError("threads must be >= 1")
     mode_name = doc.get("mode", "hw")
-    if not isinstance(mode_name, str) or mode_name not in _MODES:
-        raise ScenarioError(f"bad mode {_shown(mode_name)} (want gdb or hw)")
-    mode = _MODES[mode_name]
+    try:
+        if not isinstance(mode_name, str):  # ExecMode(<deep list>) recurses in its message
+            raise ValueError
+        mode = ExecMode(mode_name)
+    except ValueError:
+        raise ScenarioError(f"bad mode {_shown(mode_name)} (want gdb or hw)") from None
     if "schedule" not in doc:
         raise ScenarioError("scenario needs a schedule")
     schedule = _parse_schedule(doc["schedule"])
 
     overrides = {}
     for name, value in _mapping(doc.get("overrides") or {}, "overrides").items():
-        overrides[str(name)] = _int(value, f"override {_shown(name)}")
+        overrides[str(name)] = _word(value, f"override {_shown(name)}", WORD_LITERALS)
     tampers = [_parse_tamper(t) for t in _list(doc.get("tampers") or [], "tampers")]
 
     expect_memory = None
@@ -251,7 +259,7 @@ def parse_scenario(doc: dict) -> Scenario:
         _fields(expectations, "expectations", ("memory", "violations"))
         if "memory" in expectations:
             expect_memory = {
-                str(k): _int(v, f"expected {_shown(k)}")
+                str(k): _word(v, f"expected {_shown(k)}", WORD_VALUES)
                 for k, v in _mapping(expectations["memory"], "expected memory").items()
             }
         if "violations" in expectations:

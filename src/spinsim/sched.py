@@ -60,7 +60,7 @@ from .machine import (
     init_machine,
     step,
 )
-from .tamper import CompiledTampers, TamperError, TamperSpec, apply_tampers, compile_tampers
+from .tamper import CompiledTampers, TamperSpec, apply_tampers, compile_tampers
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -257,22 +257,6 @@ class _Runner:
         )
 
 
-def _compile_tampers(
-    tampers: list[TamperSpec] | None, machine: MachineState
-) -> CompiledTampers | None:
-    """Compile a run's tampers, rejecting any aimed at a thread the
-    machine does not have (it could never fire)."""
-    if not tampers:
-        return None
-    for spec in tampers:
-        if not 0 <= spec.thread_id < len(machine.threads):
-            raise TamperError(
-                f"tamper at {spec.location!r} names unknown thread {spec.thread_id} "
-                f"(threads are 0..{len(machine.threads) - 1})"
-            )
-    return compile_tampers(tampers, machine.program, machine.mode)
-
-
 def run_schedule(
     machine: MachineState,
     script: ScheduleScript,
@@ -294,7 +278,7 @@ def run_schedule(
         if count < 1:
             raise ValueError(f"schedule entry for thread {tid} has step count {count}")
 
-    compiled = _compile_tampers(tampers, machine)
+    compiled = compile_tampers(tampers, machine) if tampers else None
     runner = _Runner(machine, compiled)
     runner.clrex_on_switch = script.clrex_on_switch
 
@@ -318,7 +302,7 @@ def run_random(
     step budget runs out. Identical seeds give identical runs."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    compiled = _compile_tampers(tampers, machine)
+    compiled = compile_tampers(tampers, machine) if tampers else None
     runner = _Runner(machine, compiled)
     rng = splitmix64(seed)
     truncated = False

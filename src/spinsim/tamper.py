@@ -6,7 +6,9 @@ hardware fault flipping bits at any instruction boundary. Hooks fire
 immediately before the instruction at the hooked PC executes for the
 hooked thread. Tampers touch registers only, never memory, PC, flags,
 or monitors. `edit_register` is the one register edit, shared by the
-hooks and the debugger's `set $R`.
+hooks and the debugger's `set $R`; `compile_tampers` makes every check
+for both. `resolve_location` reads the `label+offset` location format
+and `location_for_pc` writes it.
 
 In GDB mode a hook may not sit strictly inside an LDREX..STREX range
 (the debugger cannot stop there); hooking the LDREX itself, the range
@@ -20,7 +22,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 
-from .isa import Program
+from .isa import REGISTER_COUNT, Program
 from .machine import MASK32, ExecMode, MachineState
 
 EVERY = "every"
@@ -36,7 +38,7 @@ class TamperError(Exception):
 class TamperSpec:
     thread_id: int
     location: str                  # "label" or "label+offset"
-    register: int                  # 0..12
+    register: int                  # 0..REGISTER_COUNT - 1
     action: tuple[str, int]        # ("set", v) | ("add", d) | ("flip_bit", pos)
     occurrence: int | str = 1      # k-th arrival, or EVERY
 
@@ -73,13 +75,35 @@ def resolve_location(location: str, program: Program) -> int:
     return pc
 
 
+def location_for_pc(program: Program, pc: int) -> str | None:
+    """Express a pc as label+offset (nearest preceding label, else the
+    first following one with a negative offset): the inverse of
+    `resolve_location`. None when the program has no label at or after
+    the pc's."""
+    name = program.nearest_label(pc)
+    if name is None:
+        following = [(idx, n) for n, idx in program.labels.items() if idx > pc]
+        if not following:
+            return None
+        name = min(following)[1]
+    offset = pc - program.labels[name]
+    if offset == 0:
+        return name
+    return f"{name}{offset:+d}"
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _validate(spec: TamperSpec) -> None:
-    if not _is_int(spec.register) or not 0 <= spec.register <= 12:
-        raise TamperError(f"register R{spec.register} out of range R0..R12")
+def _validate(spec: TamperSpec, thread_count: int) -> None:
+    if not 0 <= spec.thread_id < thread_count:  # it could never fire
+        raise TamperError(
+            f"tamper at {spec.location!r} names unknown thread {spec.thread_id} "
+            f"(threads are 0..{thread_count - 1})"
+        )
+    if not _is_int(spec.register) or not 0 <= spec.register < REGISTER_COUNT:
+        raise TamperError(f"register R{spec.register} out of range R0..R{REGISTER_COUNT - 1}")
     kind, value = spec.action
     if kind not in ("set", "add", "flip_bit"):
         raise TamperError(f"unknown tamper action {kind!r}")
@@ -92,19 +116,18 @@ def _validate(spec: TamperSpec) -> None:
         raise TamperError(f"occurrence must be >= 1 or 'every', got {shown}")
 
 
-def compile_tampers(
-    specs: list[TamperSpec],
-    program: Program,
-    mode: ExecMode,
-) -> CompiledTampers:
-    """Resolve tamper locations to PC indices and enforce the stop-point
-    restriction: in GDB mode no hook may lie strictly inside an
-    LDREX..STREX range (the error message names the range)."""
+def compile_tampers(specs: list[TamperSpec], machine: MachineState) -> CompiledTampers:
+    """Check every spec against the machine's program, mode and thread
+    count, and resolve its location to a PC index. Besides the spec's own
+    fields, this enforces the stop-point restriction: in GDB mode no hook
+    may lie strictly inside an LDREX..STREX range (the error message
+    names the range)."""
+    program = machine.program
     hooks: dict[tuple[int, int], list[_Hook]] = {}
     for spec in specs:
-        _validate(spec)
+        _validate(spec, len(machine.threads))
         pc = resolve_location(spec.location, program)
-        inside = program.inside_range[pc] if mode is ExecMode.GDB else None
+        inside = program.inside_range[pc] if machine.mode is ExecMode.GDB else None
         if inside is not None:
             l, s = inside
             raise TamperError(

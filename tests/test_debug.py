@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 
-from spinsim.debug import DebugSession, location_for_pc, run_repl
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import spinsim
+from spinsim.debug import DebugSession, run_repl
 from spinsim.isa import parse_program
 from spinsim.machine import ExecMode
-from spinsim.scenario import load_scenario, run_scenario
+from spinsim.scenario import check_expectations, load_scenario, run_scenario
 
 ATTACK_COMMANDS = [
     "thread 0",
@@ -120,18 +124,89 @@ def test_exported_session_replays_exactly(load_corpus, corpus_file, tmp_path):
     assert code == 0
 
 
-def test_export_refuses_a_session_longer_than_a_replay(tmp_path):
-    """A scripted scenario replays within the default step budget, so a
-    longer session is not exported as one that would replay truncated."""
+def test_session_budget_stops_step_and_export_replays(tmp_path):
+    """A session holds at most the dispatches a scenario replays within:
+    `step 100001` stops at exactly 100,000 with the budget line, later
+    commands that would dispatch stop at once, and the export replays to
+    the session's memory."""
     program = parse_program(
         ".data counter 0\n    LDR R10, =counter\n    MOV R1, #0\n"
         "loop:\n    ADD R1, R1, #1\n    STR R1, [R10]\n    CMP R1, #50000\n    BNE loop\n"
     )
     session = DebugSession(program, 1, ExecMode.HW)
-    session.handle("step 100001")
-    out = session.handle(f"export {tmp_path}/long.scn")
-    assert out == "cannot export: a scenario replays at most 100000 dispatches"
-    assert not (tmp_path / "long.scn").exists()
+    budget_line = "step budget exhausted: a session holds at most 100000 dispatches"
+    assert session.handle("step 100001") == budget_line
+    assert len(session.dispatch_log) == session.machine.step_count == 100_000
+    assert session.handle("continue") == budget_line
+    assert session.handle("step") == budget_line
+    assert len(session.dispatch_log) == 100_000
+
+    assert session.handle(f"export {tmp_path}/long.scn") == f"session exported to {tmp_path}/long.scn"
+    result = run_scenario(load_scenario(tmp_path / "long.scn"), program)
+    assert not result.truncated and result.steps_taken == 100_000
+    assert result.final_memory == session.machine.memory_by_symbol() == {"counter": 25_000}
+
+
+_SESSION_COMMANDS = st.one_of(
+    st.integers(0, 2).map("thread {}".format),
+    st.integers(1, 6).map("step {}".format),
+    st.builds(
+        "set $R{} {} {}".format,
+        st.sampled_from([2, 5, 7, 8, 9, 10]),
+        st.sampled_from(["=", "+="]),
+        st.integers(-2, 2),
+    ),
+    st.sampled_from(["set scheduler-locking off", "set scheduler-locking step", "continue"]),
+)
+
+
+def _untampered(trace):
+    return [{k: v for k, v in event.items() if k != "tamper"} for event in trace]
+
+
+LATE_ATTACK_COMMANDS = ["thread 0", "step 5", "thread 1", "step 8"] + ATTACK_COMMANDS[4:]
+# Thread 1 steps into the held critical section, which records a violation
+# event at its pc, and is edited there: that event is not a retirement.
+EDIT_AT_VIOLATION_COMMANDS = ATTACK_COMMANDS[:8] + ["step", "set $R9 = 3", "continue"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(name="lock_regcmp.s", mode=ExecMode.GDB, threads=3, commands=ATTACK_COMMANDS)
+@example(name="lock_regcmp.s", mode=ExecMode.GDB, threads=2, commands=LATE_ATTACK_COMMANDS)
+@example(name="lock_regcmp.s", mode=ExecMode.GDB, threads=2, commands=EDIT_AT_VIOLATION_COMMANDS)
+@given(
+    name=st.sampled_from(["lock_regcmp.s", "lock_basic.s"]),
+    mode=st.sampled_from(list(ExecMode)),
+    threads=st.integers(1, 3),
+    commands=st.lists(_SESSION_COMMANDS, min_size=4, max_size=16),
+)
+def test_exported_sessions_replay_exactly(name, mode, threads, commands, tmp_path_factory):
+    """Every `set` is recorded with the occurrence its replayed hook
+    fires at: the replay of an export retraces the session, so memory and
+    violations agree, and fires each recorded edit that its thread stepped
+    after, once. (The replay halts before a later arrival, so an edit its
+    thread never stepped after does not fire.)"""
+    program = parse_program(spinsim.corpus_path(name).read_text(encoding="utf-8"))
+    session = DebugSession(program, threads, mode, program_name=name)
+    marks = []  # the dispatches made before each recorded edit
+    for command in commands:
+        session.handle(command)
+        marks += [len(session.dispatch_log)] * (len(session.recorded_tampers) - len(marks))
+    path = tmp_path_factory.mktemp("export") / "session.scn"
+    assert session.handle(f"export {path}") == f"session exported to {path}"
+
+    scenario = load_scenario(path)
+    result = run_scenario(scenario, program)
+    assert result.final_memory == session.machine.memory_by_symbol()
+    assert len(result.violations) == len(session.runner.violations)
+    assert check_expectations(scenario, result) == []
+    assert _untampered(result.trace) == _untampered(session.runner.trace)
+    fired = [e["tamper"] for e in result.trace if "tamper" in e]
+    stepped_after = [
+        spec for spec, at in zip(session.recorded_tampers, marks)
+        if spec.thread_id in session.dispatch_log[at:]
+    ]
+    assert sum(len(note.split("; ")) for note in fired) == len(stepped_after)
 
 
 def test_export_records_later_occurrences(load_corpus, tmp_path):
@@ -236,11 +311,3 @@ def test_repl_loop_quits_on_eof(load_corpus, capsys):
     out = capsys.readouterr().out
     assert "spinsim debugger" in out
     assert session.done
-
-
-def test_location_for_pc(load_corpus):
-    p = load_corpus("lock_regcmp.s")
-    assert location_for_pc(p, 0) == "retry"
-    assert location_for_pc(p, 2) == "retry+2"
-    assert location_for_pc(p, 9) == "critical_section"
-    assert location_for_pc(p, 14) == "unlock+1"

@@ -17,6 +17,7 @@ from spinsim.machine import (
     EXITED,
     FAULTED,
     MASK32,
+    MAX_THREADS,
     RUNNABLE,
     ExecMode,
     MachineState,
@@ -50,6 +51,17 @@ def test_init_ten_threads(load_corpus):
     assert all(t.monitor_open() for t in m.threads)
     assert m.memory_by_symbol()["lockVar"] == 0
     assert m.step_count == 0
+
+
+def test_init_bounds_the_thread_count_before_allocating(load_corpus):
+    """A count above MAX_THREADS is refused before any allocation: the
+    thread list for 10**18 records could never be built, so only an
+    early check gives the ValueError."""
+    p = load_corpus("lock_basic.s")
+    assert len(init_machine(p, MAX_THREADS).threads) == MAX_THREADS
+    for count in (MAX_THREADS + 1, 10**18):
+        with pytest.raises(ValueError, match=f"^thread_count must be <= {MAX_THREADS}$"):
+            init_machine(p, count)
 
 
 def test_init_single_thread_minimal(load_corpus):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import spinsim
 from spinsim.cli import build_parser, main
-from spinsim.machine import ExecMode
+from spinsim.machine import MAX_THREADS, ExecMode
 from spinsim.scenario import (
     _LIBYAML_MAX_CHARS,
     RandomSchedule,
@@ -171,6 +171,28 @@ def test_random_schedule_round_trip(tmp_path):
         (
             {"threads": 1, "schedule": {"random": {"seed": 1}, "clrex_on_switch": False}},
             "unknown random schedule field 'clrex_on_switch'",
+        ),
+        # values no 32-bit word holds: overrides take `.data`'s range,
+        # expectations what a word can hold
+        (
+            {"threads": 1, "schedule": {"entries": []}, "overrides": {"x": 2**32 + 100}},
+            r"override 'x' must be in -2147483648\.\.4294967295, got 4294967396",
+        ),
+        (
+            {"threads": 1, "schedule": {"entries": []}, "overrides": {"x": -(2**31) - 1}},
+            r"override 'x' must be in -2147483648\.\.4294967295, got -2147483649",
+        ),
+        (
+            {
+                "threads": 1,
+                "schedule": {"entries": []},
+                "expectations": {"memory": {"x": 2**32 + 105}},
+            },
+            r"expected 'x' must be in 0\.\.4294967295, got 4294967401",
+        ),
+        (
+            {"threads": 1, "schedule": {"entries": []}, "expectations": {"memory": {"x": -1}}},
+            r"expected 'x' must be in 0\.\.4294967295, got -1",
         ),
     ],
 )
@@ -652,6 +674,35 @@ def test_cli_usage_errors(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["--version"]) == 0
+
+
+def test_scenario_word_bounds_are_inclusive():
+    doc = {
+        "threads": 1,
+        "schedule": {"entries": []},
+        "overrides": {"a": -(2**31), "b": 2**32 - 1},
+        "expectations": {"memory": {"a": 0, "b": 2**32 - 1}},
+    }
+    scenario = parse_scenario(doc)
+    assert scenario.overrides == {"a": -(2**31), "b": 2**32 - 1}
+    assert scenario.expect_memory == {"a": 0, "b": 2**32 - 1}
+
+
+def test_cli_rejects_thread_counts_above_the_limit(corpus_file, tmp_path, capsys):
+    """Every front end refuses a count above MAX_THREADS in one line, exit
+    1, before a machine is built."""
+    program = str(corpus_file("lock_basic.s"))
+    for command in ("explore", "debug"):
+        assert main([command, program, "--threads", str(10**18)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --threads must be <= {MAX_THREADS}\n"
+    path = tmp_path / "crowd.scn"
+    path.write_text(f"threads: {10**18}\nschedule: {{entries: [[0, 1]]}}\n")
+    assert main(["run", program, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: thread_count must be <= {MAX_THREADS}\n"
 
 
 def test_cli_debug_session(corpus_file, capsys, monkeypatch):

@@ -182,7 +182,7 @@ def test_thread_records_are_values(load_corpus):
     assert held == fresh
     assert m.threads[0] == fresh._replace(regs=(0,) * 10 + (lock_var, 0, 0), pc=1)
 
-    compiled = compile_tampers([TamperSpec(1, "retry", 7, ("set", 5))], p, ExecMode.HW)
+    compiled = compile_tampers([TamperSpec(1, "retry", 7, ("set", 5))], init_machine(p, 2, ExecMode.HW))
     held = m.threads[1]
     assert apply_tampers(compiled, m, 1, 0) == ["R7 = 5 (0 -> 5)"]
     assert held == fresh

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spinsim
+from spinsim.isa import parse_program
 from spinsim.machine import ExecMode, init_machine, step
 from spinsim.scenario import load_scenario, run_scenario
 from spinsim.sched import ScheduleScript, run_random, run_schedule
@@ -11,6 +15,7 @@ from spinsim.tamper import (
     TamperSpec,
     apply_tampers,
     compile_tampers,
+    location_for_pc,
     resolve_location,
 )
 
@@ -30,49 +35,94 @@ def test_resolve_locations(load_corpus):
         resolve_location("unlock+99", p)
 
 
+def test_location_for_pc(load_corpus):
+    p = load_corpus("lock_regcmp.s")
+    assert location_for_pc(p, 0) == "retry"
+    assert location_for_pc(p, 2) == "retry+2"
+    assert location_for_pc(p, 9) == "critical_section"
+    assert location_for_pc(p, 14) == "unlock+1"
+
+
+def assert_locations_round_trip(p):
+    for pc in range(len(p.instructions)):
+        location = location_for_pc(p, pc)
+        if location is not None:
+            assert resolve_location(location, p) == pc, (pc, location)
+
+
+def test_location_round_trip_on_the_corpus():
+    programs = sorted(spinsim.corpus_dir().glob("*.s"))
+    assert programs
+    for path in programs:
+        assert_locations_round_trip(parse_program(path.read_text(encoding="utf-8")))
+
+
+@st.composite
+def labelled_programs(draw):
+    """Straight-line programs with labels at drawn pcs, before the first
+    instruction, sharing a pc, or past the last one, or with none."""
+    size = draw(st.integers(1, 8))
+    body = draw(st.lists(st.sampled_from(["NOP", "MOV R1, #1", "CLREX"]), min_size=size, max_size=size))
+    at = draw(st.lists(st.integers(0, size), max_size=4))
+    lines = []
+    for pc, text in enumerate(body + [None]):
+        lines += [f"L{i}:" for i, where in enumerate(at) if where == pc]
+        if text is not None:
+            lines.append(text)
+    return parse_program("\n".join(lines) + "\n")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(p=labelled_programs())
+def test_location_round_trip_on_random_programs(p):
+    assert_locations_round_trip(p)
+
+
 def test_gdb_mode_rejects_hooks_strictly_inside_range(load_corpus):
     p = load_corpus("lock_regcmp.s")  # exclusive range [2, 6]
     for offset in (3, 4, 5, 6):
         spec = TamperSpec(thread_id=1, location=f"retry+{offset}", register=7, action=("set", 0))
         with pytest.raises(TamperError, match=r"\[2, 6\]"):
-            compile_tampers([spec], p, ExecMode.GDB)
+            compile_tampers([spec], init_machine(p, 2, ExecMode.GDB))
     # the range entry (the LDREX itself) is a legal stop point
-    compile_tampers([ADD1], p, ExecMode.GDB)
+    compile_tampers([ADD1], init_machine(p, 2, ExecMode.GDB))
 
 
 def test_hw_mode_allows_hooks_inside_range(load_corpus):
     p = load_corpus("lock_regcmp.s")
     spec = TamperSpec(thread_id=0, location="retry+5", register=9, action=("set", 0))
-    compiled = compile_tampers([spec], p, ExecMode.HW)
+    compiled = compile_tampers([spec], init_machine(p, 2, ExecMode.HW))
     assert compiled.hooks
 
 
 def test_spec_validation(load_corpus):
     p = load_corpus("lock_regcmp.s")
     with pytest.raises(TamperError, match="out of range"):
-        compile_tampers([TamperSpec(0, "retry", 13, ("set", 0))], p, ExecMode.HW)
+        compile_tampers([TamperSpec(0, "retry", 13, ("set", 0))], init_machine(p, 2, ExecMode.HW))
     with pytest.raises(TamperError, match="unknown tamper action"):
-        compile_tampers([TamperSpec(0, "retry", 1, ("xor", 0))], p, ExecMode.HW)
+        compile_tampers([TamperSpec(0, "retry", 1, ("xor", 0))], init_machine(p, 2, ExecMode.HW))
     with pytest.raises(TamperError, match="flip_bit position"):
-        compile_tampers([TamperSpec(0, "retry", 1, ("flip_bit", 32))], p, ExecMode.HW)
+        compile_tampers([TamperSpec(0, "retry", 1, ("flip_bit", 32))], init_machine(p, 2, ExecMode.HW))
     with pytest.raises(TamperError, match="occurrence"):
-        compile_tampers([TamperSpec(0, "retry", 1, ("set", 0), occurrence=0)], p, ExecMode.HW)
+        compile_tampers([TamperSpec(0, "retry", 1, ("set", 0), occurrence=0)], init_machine(p, 2, ExecMode.HW))
     # booleans and non-integers, which would otherwise fail mid-run
     for occurrence in (True, "2", 1.5):
         with pytest.raises(TamperError, match="occurrence"):
             spec = TamperSpec(0, "retry", 1, ("set", 0), occurrence=occurrence)
-            compile_tampers([spec], p, ExecMode.HW)
+            compile_tampers([spec], init_machine(p, 2, ExecMode.HW))
     for value in ("x", True, 1.5, None):
         with pytest.raises(TamperError, match="action value must be an integer"):
-            compile_tampers([TamperSpec(0, "retry", 1, ("add", value))], p, ExecMode.HW)
+            compile_tampers([TamperSpec(0, "retry", 1, ("add", value))], init_machine(p, 2, ExecMode.HW))
     with pytest.raises(TamperError, match="out of range"):
-        compile_tampers([TamperSpec(0, "retry", True, ("set", 0))], p, ExecMode.HW)
+        compile_tampers([TamperSpec(0, "retry", True, ("set", 0))], init_machine(p, 2, ExecMode.HW))
+    with pytest.raises(TamperError, match=r"unknown thread 2 \(threads are 0\.\.1\)"):
+        compile_tampers([TamperSpec(2, "retry", 1, ("set", 0))], init_machine(p, 2, ExecMode.HW))
 
 
 def test_apply_respects_thread_and_occurrence(load_corpus):
     p = load_corpus("lock_regcmp.s")
     m = init_machine(p, 3, ExecMode.GDB)
-    compiled = compile_tampers([ADD1], p, ExecMode.GDB)
+    compiled = compile_tampers([ADD1], init_machine(p, 2, ExecMode.GDB))
 
     # wrong thread: no-op
     assert apply_tampers(compiled, m, 0, 2) == []
@@ -90,7 +140,7 @@ def test_every_occurrence_fires_each_arrival(load_corpus):
     p = load_corpus("lock_regcmp.s")
     m = init_machine(p, 1, ExecMode.GDB)
     spec = TamperSpec(0, "retry", 3, ("add", 2), occurrence=EVERY)
-    compiled = compile_tampers([spec], p, ExecMode.GDB)
+    compiled = compile_tampers([spec], init_machine(p, 2, ExecMode.GDB))
     for expected in (2, 4, 6):
         apply_tampers(compiled, m, 0, 0)
         assert m.threads[0].regs[3] == expected
@@ -100,7 +150,7 @@ def test_flip_bit_action(load_corpus):
     p = load_corpus("lock_regcmp.s")
     m = init_machine(p, 1, ExecMode.HW)
     spec = TamperSpec(0, "retry", 4, ("flip_bit", 31))
-    compiled = compile_tampers([spec], p, ExecMode.HW)
+    compiled = compile_tampers([spec], init_machine(p, 2, ExecMode.HW))
     apply_tampers(compiled, m, 0, 0)
     assert m.threads[0].regs[4] == 0x80000000
 
@@ -110,7 +160,7 @@ def test_tampers_touch_registers_only(load_corpus):
     versions, flags, pc, and the monitor stay put."""
     p = load_corpus("lock_regcmp.s")
     m = init_machine(p, 2, ExecMode.GDB)
-    compiled = compile_tampers([ADD1], p, ExecMode.GDB)
+    compiled = compile_tampers([ADD1], init_machine(p, 2, ExecMode.GDB))
     t = m.threads[1]
     before = (
         m.memory,
@@ -144,7 +194,7 @@ def test_attack_walks_loser_past_both_compares(load_corpus):
     m = init_machine(p, 2, ExecMode.GDB)
     for _ in range(5):
         step(m, 0)  # thread 0 holds the lock, sits in the critical region
-    compiled = compile_tampers([ADD1, SET0], p, ExecMode.GDB)
+    compiled = compile_tampers([ADD1, SET0], init_machine(p, 2, ExecMode.GDB))
 
     def tamper_then_step():
         apply_tampers(compiled, m, 1, m.threads[1].pc)
