@@ -7,8 +7,10 @@ one-to-one; `HELP` lists them. A session parses commands and drives a
 occurrence is 1 + the focused thread's retirements at that pc in the
 runner's trace: at a legal stop point every retirement starts a step,
 so that is the count of arrivals a replayed hook sees. A session holds
-at most `DEFAULT_MAX_STEPS` dispatches, a scenario's replay budget, so
-`export` writes a scenario that replays the session exactly.
+at most `DEFAULT_MAX_STEPS` dispatches, a scenario's replay budget, and
+`export` refuses while an edited thread has not stepped since its edit
+(the replay halts before that hook could fire), so an export replays
+the session exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ HELP = f"""commands:
   break <label>         set a breakpoint at a label
   continue              run round-robin until a breakpoint or completion
   trace on <path>       write the session trace to <path> on quit
-  export <path>         save the session as a scenario file
+  export <path>         save the session as a scenario file (refused while
+                        an edited thread has not stepped since the edit)
   quit
 a session holds at most {DEFAULT_MAX_STEPS} dispatches, the most a scenario replays
 """
@@ -72,6 +75,7 @@ class DebugSession:
         self.scheduler_locking = "step"
         self.dispatch_log: list[int] = []
         self.recorded_tampers: list[TamperSpec] = []
+        self._unreplayed: dict[int, TamperSpec] = {}  # thread -> first edit since its last step
         self.trace_path: Path | None = None
         self.done = False
         self._summary_shown = False
@@ -83,6 +87,7 @@ class DebugSession:
             raise _OutOfBudget
         self.runner.dispatch(tid)
         self.dispatch_log.append(tid)
+        self._unreplayed.pop(tid, None)
 
     def _stop_line(self, tid: int) -> str:
         t = self.machine.threads[tid]
@@ -201,6 +206,7 @@ class DebugSession:
             return f"refused: {e}"
         old, new = edit_register(self.machine, spec)
         self.recorded_tampers.append(spec)
+        self._unreplayed.setdefault(self.focus, spec)
         return f"R{reg} = {new} (was {old})"
 
     def _cmd_info(self, args: list[str]) -> str:
@@ -274,6 +280,12 @@ class DebugSession:
 
     def _cmd_export(self, args: list[str]) -> str:
         path = Path(args[0])
+        if self._unreplayed:
+            spec = next(iter(self._unreplayed.values()))
+            return (
+                f"refused: thread {spec.thread_id} has not stepped since set ${spec.describe_action()} "
+                f"at {spec.location}, so a replay would never make that edit"
+            )
         scenario = Scenario(
             threads=len(self.machine.threads),
             mode=self.machine.mode,

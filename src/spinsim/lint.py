@@ -1,18 +1,21 @@
 """Static checks for lock-routine hygiene.
 
-Rules (analysis is syntactic over the listing with a simple
-redefinition check; the routines this targets are tiny):
+Every rule reads one guard walk. For the register Rd that an LDREX or
+STREX writes, the *guard* is the first `CMP Rd, ...` on the fall-through
+chain from the next pc; before the guard the chain ends at a
+redefinition of Rd, at a `B`, or at the end of the listing. The guard is
+*branched* when a BNE or BEQ follows it before another CMP or a `B`; a
+later redefinition of Rd does not matter, the flags already hold the
+comparison. The routines this targets are tiny.
 
-    REG_COMPARE (error)        the first CMP consuming an LDREX/STREX
-                               destination compares it against a
-                               register instead of an immediate; such a
-                               register can be edited by a debugger or
-                               fault attacker, an immediate cannot
-    MISSING_LL_BRANCH (warn)   an LDREX whose loaded value is never
-                               compared-and-branched before the paired
-                               STREX
-    MISSING_SC_BRANCH (error)  a STREX whose status register is never
-                               compared-and-branched afterwards
+    REG_COMPARE (error)        the guard of an LDREX/STREX destination
+                               compares it against a register instead of
+                               an immediate; such a register can be
+                               edited by a debugger or fault attacker,
+                               an immediate cannot
+    MISSING_LL_BRANCH (warn)   an LDREX whose guard is not branched
+                               before the paired STREX
+    MISSING_SC_BRANCH (error)  a STREX whose guard is not branched
     ORPHAN_LDREX (warn)        LDREX with no following STREX
     ORPHAN_STREX (warn)        STREX with no preceding LDREX
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .isa import Program
+from .isa import Instruction, Program
 
 REG_COMPARE = "REG_COMPARE"
 MISSING_LL_BRANCH = "MISSING_LL_BRANCH"
@@ -53,46 +56,22 @@ class Finding:
     severity: str
 
 
-def _first_compare_of(program: Program, start: int, reg: int) -> int | None:
-    """Index of the first CMP whose left operand is `reg`, scanning the
-    fall-through chain from `start`: stops at a redefinition of `reg`,
-    an unconditional branch, or the end of the listing."""
-    for i in range(start, len(program.instructions)):
-        ins = program.instructions[i]
-        if ins.opcode == "CMP" and ins.operands[0] == ("reg", reg):
-            return i
-        if ins.dest() == reg:
-            return None
-        if ins.opcode == "B":
-            return None
-    return None
-
-
-def _compared_and_branched(program: Program, start: int, end: int, reg: int) -> bool:
-    """True if `reg` is CMP'd within [start, end) and a conditional
-    branch follows the compare before `end`."""
-    for i in range(start, end):
-        ins = program.instructions[i]
-        if ins.opcode == "CMP" and ins.operands[0] == ("reg", reg):
-            return any(
-                program.instructions[j].opcode in _CONDITIONAL_BRANCHES
-                for j in range(i + 1, end)
-            )
-        if ins.dest() == reg:
-            return False
-    return False
-
-
-def _sc_branch_bound(program: Program, strex_index: int, reg: int) -> int:
-    """How far past the STREX the status register stays meaningful:
-    up to its redefinition, an unconditional branch, or the end."""
-    for i in range(strex_index + 1, len(program.instructions)):
-        ins = program.instructions[i]
-        if ins.dest() == reg:
-            return i
-        if ins.opcode == "B":
-            return i + 1
-    return len(program.instructions)
+def _guard(instructions: list[Instruction], start: int, reg: int) -> tuple[int | None, int | None]:
+    """The guard walk from `start` for `reg`: (pc of the guard, pc of the
+    conditional branch that reads it), each None when there is none."""
+    guard = None
+    for i in range(start, len(instructions)):
+        ins = instructions[i]
+        if guard is None:
+            if ins.opcode == "CMP" and ins.operands[0] == ("reg", reg):
+                guard = i
+            elif ins.opcode == "B" or ins.dest() == reg:
+                break
+        elif ins.opcode in _CONDITIONAL_BRANCHES:
+            return guard, i
+        elif ins.opcode in ("CMP", "B"):
+            break
+    return guard, None
 
 
 def lint(program: Program) -> list[Finding]:
@@ -100,77 +79,39 @@ def lint(program: Program) -> list[Finding]:
     An empty list means the routine conforms."""
     findings: list[Finding] = []
     instructions = program.instructions
-    ranges = dict(program.exclusive_ranges())
+    paired = dict(program.exclusive_ranges())
 
-    ldrex_indices = [i for i, ins in enumerate(instructions) if ins.opcode == "LDREX"]
-    strex_indices = [i for i, ins in enumerate(instructions) if ins.opcode == "STREX"]
+    def report(rule: str, pc: int, message: str) -> None:
+        findings.append(Finding(rule, pc, instructions[pc].source_line, message, _SEVERITY[rule]))
 
-    for i in ldrex_indices:
-        if i not in ranges:
-            findings.append(
-                Finding(
-                    ORPHAN_LDREX,
-                    i,
-                    instructions[i].source_line,
-                    "LDREX with no following STREX",
-                    _SEVERITY[ORPHAN_LDREX],
-                )
+    seen_ldrex = False
+    for i, ins in enumerate(instructions):
+        if ins.opcode not in ("LDREX", "STREX"):
+            continue
+        reg = ins.dest()
+        guard, branch = _guard(instructions, i + 1, reg)
+        if guard is not None and instructions[guard].operands[1][0] == "reg":
+            report(
+                REG_COMPARE,
+                guard,
+                f"{ins.opcode} result R{reg} compared against "
+                f"register R{instructions[guard].operands[1][1]} instead of a constant",
             )
-    for s in strex_indices:
-        if not any(i < s for i in ldrex_indices):
-            findings.append(
-                Finding(
-                    ORPHAN_STREX,
-                    s,
-                    instructions[s].source_line,
-                    "STREX with no preceding LDREX",
-                    _SEVERITY[ORPHAN_STREX],
-                )
-            )
-
-    for i in ldrex_indices + strex_indices:
-        dest = instructions[i].dest()
-        cmp_at = _first_compare_of(program, i + 1, dest)
-        if cmp_at is not None and instructions[cmp_at].operands[1][0] == "reg":
-            other = instructions[cmp_at].operands[1][1]
-            findings.append(
-                Finding(
-                    REG_COMPARE,
-                    cmp_at,
-                    instructions[cmp_at].source_line,
-                    f"{instructions[i].opcode} result R{dest} compared against "
-                    f"register R{other} instead of a constant",
-                    _SEVERITY[REG_COMPARE],
-                )
-            )
-
-    for i, s in ranges.items():
-        dest = instructions[i].dest()
-        if not _compared_and_branched(program, i + 1, s, dest):
-            findings.append(
-                Finding(
+        if ins.opcode == "LDREX":
+            seen_ldrex = True
+            if i not in paired:
+                report(ORPHAN_LDREX, i, "LDREX with no following STREX")
+            elif branch is None or branch >= paired[i]:
+                report(
                     MISSING_LL_BRANCH,
                     i,
-                    instructions[i].source_line,
-                    f"loaded value R{dest} is never compared-and-branched "
-                    "before the paired STREX",
-                    _SEVERITY[MISSING_LL_BRANCH],
+                    f"loaded value R{reg} is never compared-and-branched before the paired STREX",
                 )
-            )
-
-    for s in strex_indices:
-        status = instructions[s].dest()
-        bound = _sc_branch_bound(program, s, status)
-        if not _compared_and_branched(program, s + 1, bound, status):
-            findings.append(
-                Finding(
-                    MISSING_SC_BRANCH,
-                    s,
-                    instructions[s].source_line,
-                    f"STREX status R{status} is never compared-and-branched",
-                    _SEVERITY[MISSING_SC_BRANCH],
-                )
-            )
+            continue
+        if not seen_ldrex:
+            report(ORPHAN_STREX, i, "STREX with no preceding LDREX")
+        if branch is None:
+            report(MISSING_SC_BRANCH, i, f"STREX status R{reg} is never compared-and-branched")
 
     findings.sort(key=lambda f: (f.pc, f.rule))
     return findings

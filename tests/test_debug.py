@@ -183,9 +183,9 @@ EDIT_AT_VIOLATION_COMMANDS = ATTACK_COMMANDS[:8] + ["step", "set $R9 = 3", "cont
 def test_exported_sessions_replay_exactly(name, mode, threads, commands, tmp_path_factory):
     """Every `set` is recorded with the occurrence its replayed hook
     fires at: the replay of an export retraces the session, so memory and
-    violations agree, and fires each recorded edit that its thread stepped
-    after, once. (The replay halts before a later arrival, so an edit its
-    thread never stepped after does not fire.)"""
+    violations agree, and fires each recorded edit once. The replay halts
+    before a later arrival, so export refuses while an edited thread has
+    not stepped since its edit, naming the first such edit."""
     program = parse_program(spinsim.corpus_path(name).read_text(encoding="utf-8"))
     session = DebugSession(program, threads, mode, program_name=name)
     marks = []  # the dispatches made before each recorded edit
@@ -193,7 +193,19 @@ def test_exported_sessions_replay_exactly(name, mode, threads, commands, tmp_pat
         session.handle(command)
         marks += [len(session.dispatch_log)] * (len(session.recorded_tampers) - len(marks))
     path = tmp_path_factory.mktemp("export") / "session.scn"
-    assert session.handle(f"export {path}") == f"session exported to {path}"
+    unreplayed = [
+        spec for spec, at in zip(session.recorded_tampers, marks)
+        if spec.thread_id not in session.dispatch_log[at:]
+    ]
+    out = session.handle(f"export {path}")
+    if unreplayed:
+        first = unreplayed[0]
+        assert out.startswith(
+            f"refused: thread {first.thread_id} has not stepped since set ${first.describe_action()} "
+        )
+        assert "\n" not in out and not path.exists()
+        return
+    assert out == f"session exported to {path}"
 
     scenario = load_scenario(path)
     result = run_scenario(scenario, program)
@@ -202,11 +214,27 @@ def test_exported_sessions_replay_exactly(name, mode, threads, commands, tmp_pat
     assert check_expectations(scenario, result) == []
     assert _untampered(result.trace) == _untampered(session.runner.trace)
     fired = [e["tamper"] for e in result.trace if "tamper" in e]
-    stepped_after = [
-        spec for spec, at in zip(session.recorded_tampers, marks)
-        if spec.thread_id in session.dispatch_log[at:]
-    ]
-    assert sum(len(note.split("; ")) for note in fired) == len(stepped_after)
+    assert sum(len(note.split("; ")) for note in fired) == len(session.recorded_tampers)
+
+
+def test_export_refuses_an_edit_the_replay_never_fires(load_corpus, tmp_path):
+    """Thread 1 is edited and never stepped again, so the exported
+    schedule, which halts after thread 0's steps, would never dispatch
+    its hook: export refuses, and succeeds once thread 1 steps."""
+    session = DebugSession(load_corpus("lock_basic.s"), 2, ExecMode.GDB, program_name="lock_basic.s")
+    drive(session, ["thread 0", "step 3", "thread 1", "set $R2 = 5", "thread 0", "step 30"])
+    assert session.machine.threads[0].status == "exited"
+    out = session.handle(f"export {tmp_path}/x.scn")
+    assert out == (
+        "refused: thread 1 has not stepped since set $R2 = 5 at retry, "
+        "so a replay would never make that edit"
+    )
+    assert not (tmp_path / "x.scn").exists()
+
+    drive(session, ["thread 1", "step"])
+    assert session.handle(f"export {tmp_path}/x.scn") == f"session exported to {tmp_path}/x.scn"
+    result = run_scenario(load_scenario(tmp_path / "x.scn"), load_corpus("lock_basic.s"))
+    assert [e["tamper"] for e in result.trace if "tamper" in e] == ["R2 = 5 (0 -> 5)"]
 
 
 def test_export_records_later_occurrences(load_corpus, tmp_path):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from spinsim import corpus_dir, corpus_path
 from spinsim.isa import parse_program
 from spinsim.lint import (
     MISSING_LL_BRANCH,
@@ -15,14 +17,30 @@ from spinsim.lint import (
     render_records,
     render_text,
 )
+from spinsim.sched import explore
 
-CORPUS_EXPECTATIONS = [
-    "lock_basic.s",
-    "lock_regcmp.s",
-    "lock_no_ll_branch.s",
-    "unlocked_inc.s",
-    "lock_unlock.s",
-]
+# Edits of lock_basic.s that test the guard walk, each a list of (old, new)
+# replacements.
+LOCK_BASIC_EDITS = {
+    "B past the LL guard": [
+        ("    LDREX R8, [R10]\n", "    LDREX R8, [R10]\n    B take\n"),
+        ("    MOV R9, #1\n", "take:\n    MOV R9, #1\n"),
+    ],
+    "CMP between the LL guard and its branch": [
+        ("    CMP R8, #0\n", "    CMP R8, #0\n    CMP R5, #0\n"),
+    ],
+    "redefinition after the SC guard": [
+        ("    CMP R2, #0\n", "    CMP R2, #0\n    MOV R2, #7\n"),
+    ],
+}
+
+# Mutants that no rule flags yet `explore` finds violating, with the reason.
+LINT_FALSE_NEGATIVES = {
+    "lock_basic.s pc 4 delete: MOV R9, #1": (
+        "the STREX stores R9 before anything writes it, a read before write "
+        "that rules over fall-through chains cannot see"
+    ),
+}
 
 
 def test_constant_compare_lock_is_clean(load_corpus):
@@ -44,12 +62,81 @@ def test_no_ll_branch_lock_one_warning(load_corpus):
     assert findings[0].pc == 1  # the LDREX
 
 
-@pytest.mark.parametrize("name", CORPUS_EXPECTATIONS)
-def test_findings_match_expectation_files(load_corpus, corpus_file, name):
-    """Each shipped program's findings match its frozen expectation file
-    byte for byte."""
-    expected = corpus_file(name).with_suffix(".lint").read_text(encoding="utf-8")
-    assert render_records(lint(load_corpus(name))) == expected
+@pytest.mark.parametrize("path", sorted(corpus_dir().glob("*.s")), ids=lambda p: p.name)
+def test_findings_match_expectation_files(path):
+    """Each shipped program has an expectation file beside it, and its
+    findings match that file byte for byte."""
+    expected = path.with_suffix(".lint")
+    assert expected.is_file(), f"{path.name} has no {expected.name} beside it"
+    program = parse_program(path.read_text(encoding="utf-8"))
+    assert render_records(lint(program)) == expected.read_text(encoding="utf-8")
+
+
+def _edited_lock_basic(edit: str) -> str:
+    source = corpus_path("lock_basic.s").read_text(encoding="utf-8")
+    for old, new in LOCK_BASIC_EDITS[edit]:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    return source
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        # The guard is dead code: the chain ends at the B.
+        ("B past the LL guard", [(MISSING_LL_BRANCH, 1)]),
+        # The BNE reads CMP R5, not the guard.
+        ("CMP between the LL guard and its branch", [(MISSING_LL_BRANCH, 1)]),
+        # The flags already hold the comparison when R2 is overwritten.
+        ("redefinition after the SC guard", []),
+    ],
+)
+def test_guard_walk_on_lock_basic_edits(edit, expected):
+    findings = lint(parse_program(_edited_lock_basic(edit)))
+    assert [(f.rule, f.pc) for f in findings] == expected
+
+
+def _mutants(name: str):
+    """Single-point mutants of a corpus program, as (label, source): delete
+    an instruction, swap BNE/BEQ, add 1 to an immediate, turn LDREX into
+    LDR, or turn STREX into STR plus MOV Rd, #0."""
+    source = corpus_path(name).read_text(encoding="utf-8")
+    lines = source.splitlines()
+    for pc, ins in enumerate(parse_program(source).instructions):
+        at = ins.source_line - 1
+        line = lines[at]
+        edits = {"delete": []}
+        if ins.opcode in ("BNE", "BEQ"):
+            edits["swap"] = [line.replace(ins.opcode, "BEQ" if ins.opcode == "BNE" else "BNE")]
+        if any(kind == "imm" for kind, _ in ins.operands):
+            edits["imm+1"] = [re.sub(r"#(-?\d+)", lambda m: f"#{int(m[1]) + 1}", line)]
+        if ins.opcode == "LDREX":
+            edits["to LDR"] = [line.replace("LDREX", "LDR")]
+        if ins.opcode == "STREX":
+            (_, rd), (_, rt), (_, rn) = ins.operands
+            edits["to STR"] = [f"    STR R{rt}, [R{rn}]", f"    MOV R{rd}, #0"]
+        for op, new in edits.items():
+            yield f"{name} pc {pc} {op}: {ins.text()}", "\n".join(lines[:at] + new + lines[at + 1:]) + "\n"
+
+
+def test_mutants_without_findings_do_not_violate():
+    """Lint against the explorer: a mutant of the two constant and register
+    compare locks that lint passes has no mutual-exclusion violation at 2
+    threads, except the listed false negatives."""
+    mutants = [*_mutants("lock_basic.s"), *_mutants("lock_regcmp.s")]
+    assert len(mutants) == 48
+    mutants += [
+        (f"lock_basic.s {edit}", _edited_lock_basic(edit))
+        for edit in ("B past the LL guard", "CMP between the LL guard and its branch")
+    ]
+    missed = set()
+    for label, source in mutants:
+        program = parse_program(source)
+        report = explore(program, 2)
+        assert not report.truncated, label
+        if report.mutual_exclusion_violations and not lint(program):
+            missed.add(label)
+    assert missed == set(LINT_FALSE_NEGATIVES)
 
 
 def test_adding_ll_check_removes_the_warning(load_corpus):
