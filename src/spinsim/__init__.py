@@ -33,7 +33,7 @@ from .sched import (
     run_random,
     run_schedule,
 )
-from .tamper import CompiledTampers, TamperError, TamperSpec, apply_tampers, compile_tampers
+from .tamper import TamperError, TamperSpec, apply_tampers, compile_tampers
 from .lint import Finding, lint
 from .trace import emit_trace, summarize
 

@@ -6,7 +6,8 @@
     spinsim debug <program.s> [--threads N] [--mode gdb|hw]
 
 Exit codes: 0 ok, 1 usage or parse error, 2 expectation mismatch or
-violations found, 3 explorer truncation, 4 lint errors.
+violations found, 3 explorer truncation, 4 lint errors; a closed
+standard output (`spinsim lint x.s | head -0`) also exits 1, silently.
 
 The argument parser is built once per process and reused by every
 `main` call. That is safe because the parser holds no per-call state:
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -187,13 +189,19 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+            code = args.func(args)
+        except SystemExit as e:  # argparse --help/--version
+            code = 0 if not e.code else EXIT_USAGE
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # quiet the exit-time flush, as the `signal` docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except SystemExit as e:  # argparse --help/--version
-        return 0 if not e.code else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -3,14 +3,14 @@
 Command names mirror GDB's, so a published attack procedure transcribes
 one-to-one; `HELP` lists them. A session parses commands and drives a
 `_Runner`. `set $R` is a tamper: `location_for_pc` names its pc,
-`compile_tampers` checks it and `edit_register` applies it. Its
-occurrence is 1 + the focused thread's retirements at that pc in the
-runner's trace: at a legal stop point every retirement starts a step,
-so that is the count of arrivals a replayed hook sees. A session holds
-at most `DEFAULT_MAX_STEPS` dispatches, a scenario's replay budget, and
-`export` refuses while an edited thread has not stepped since its edit
-(the replay halts before that hook could fire), so an export replays
-the session exactly.
+`compile_tampers` checks it and `apply_tampers` applies it; the runner
+notes it on the thread's next step, as it notes a replayed hook. Its
+occurrence is one more than the runner's arrival count at that pc, the
+count a replayed hook matches. A session holds at most
+`DEFAULT_MAX_STEPS` dispatches, a scenario's replay budget, and `export`
+refuses an edit while that count is below its occurrence (the replay
+halts before that hook could fire), so an export replays the session
+exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,14 @@ from .isa import Program
 from .machine import RUNNABLE, ExecMode, init_machine
 from .sched import DEFAULT_MAX_STEPS, _Runner, witness_script
 from .scenario import Scenario, save_scenario
-from .tamper import TamperError, TamperSpec, compile_tampers, edit_register, location_for_pc
+from .tamper import (
+    TamperError,
+    TamperSpec,
+    apply_tampers,
+    compile_tampers,
+    location_for_pc,
+    resolve_location,
+)
 from .trace import emit_trace, summarize
 
 _SET_REG = re.compile(r"\$[Rr](\d+)\s*(\+=|=)\s*(-?\d+)$")
@@ -75,7 +82,6 @@ class DebugSession:
         self.scheduler_locking = "step"
         self.dispatch_log: list[int] = []
         self.recorded_tampers: list[TamperSpec] = []
-        self._unreplayed: dict[int, TamperSpec] = {}  # thread -> first edit since its last step
         self.trace_path: Path | None = None
         self.done = False
         self._summary_shown = False
@@ -87,7 +93,6 @@ class DebugSession:
             raise _OutOfBudget
         self.runner.dispatch(tid)
         self.dispatch_log.append(tid)
-        self._unreplayed.pop(tid, None)
 
     def _stop_line(self, tid: int) -> str:
         t = self.machine.threads[tid]
@@ -189,25 +194,22 @@ class DebugSession:
         location = location_for_pc(self.program, t.pc)
         if location is None:
             return f"refused: no label names pc {t.pc}, so export could not replay the edit"
-        retired = sum(
-            1 for e in self.runner.trace
-            if e["thread"] == self.focus and e["pc"] == t.pc and "instr" in e
-        )
+        arrival = self.runner.arrivals.get((self.focus, t.pc), 0) + 1
         spec = TamperSpec(
             thread_id=self.focus,
             location=location,
             register=reg,
             action=("set" if op == "=" else "add", value),
-            occurrence=retired + 1,
+            occurrence=arrival,
         )
         try:
-            compile_tampers([spec], self.machine)
+            hooks = compile_tampers([spec], self.machine)
         except TamperError as e:
             return f"refused: {e}"
-        old, new = edit_register(self.machine, spec)
+        edits = apply_tampers(hooks, self.machine, self.focus, t.pc, arrival)
+        self.runner.notes.setdefault(self.focus, []).extend(edits)
         self.recorded_tampers.append(spec)
-        self._unreplayed.setdefault(self.focus, spec)
-        return f"R{reg} = {new} (was {old})"
+        return f"R{reg} = {self.machine.threads[self.focus].regs[reg]} (was {t.regs[reg]})"
 
     def _cmd_info(self, args: list[str]) -> str:
         what = args[0] if args else ""
@@ -280,12 +282,14 @@ class DebugSession:
 
     def _cmd_export(self, args: list[str]) -> str:
         path = Path(args[0])
-        if self._unreplayed:
-            spec = next(iter(self._unreplayed.values()))
-            return (
-                f"refused: thread {spec.thread_id} has not stepped since set ${spec.describe_action()} "
-                f"at {spec.location}, so a replay would never make that edit"
-            )
+        arrivals = self.runner.arrivals
+        for spec in self.recorded_tampers:
+            key = (spec.thread_id, resolve_location(spec.location, self.program))
+            if arrivals.get(key, 0) < spec.occurrence:
+                return (
+                    f"refused: thread {spec.thread_id} has not stepped since set ${spec.describe_action()} "
+                    f"at {spec.location}, so a replay would never make that edit"
+                )
         scenario = Scenario(
             threads=len(self.machine.threads),
             mode=self.machine.mode,

@@ -100,9 +100,6 @@ class ThreadState(NamedTuple):
     status: str = RUNNABLE
     fault: str | None = None
 
-    def monitor_open(self) -> bool:
-        return self.mon_granule is None
-
 
 Memory = tuple[tuple[int, int], ...]   # (value, version) per data word
 

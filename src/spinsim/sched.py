@@ -7,7 +7,10 @@ exactly one instruction. After the script any remaining runnable
 threads are completed round-robin (lowest thread id first) unless the
 script says halt.
 
-Runs dispatch through `_Runner`. It applies tampers between steps and
+Runs dispatch through `_Runner`. It keeps the one arrival count,
+`arrivals[(thread, pc)]`, the thread's runnable dispatches from that pc,
+which scenario hooks and debugger edits alike match their occurrence
+against. It applies tampers between steps and
 appends each trace event as the JSON-ready record `emit_trace` writes
 (see `trace` for its keys), built from the records and memories `step`
 reports around one retired instruction and numbered by trace position.
@@ -60,7 +63,7 @@ from .machine import (
     init_machine,
     step,
 )
-from .tamper import CompiledTampers, TamperSpec, apply_tampers, compile_tampers
+from .tamper import Hooks, TamperSpec, apply_tampers, compile_tampers
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -130,21 +133,23 @@ def crowded_regions(program: Program, threads: list[ThreadState]) -> set[int]:
 
 class _Runner:
     """Dispatch loop shared by scripted runs, random runs, and the
-    debugger: applies tampers, steps threads, records region entries
-    into crowded regions, and builds the trace."""
+    debugger: counts arrivals, applies tampers, steps threads, records
+    region entries into crowded regions, and builds the trace."""
 
-    def __init__(self, machine: MachineState, compiled: CompiledTampers | None = None):
+    def __init__(self, machine: MachineState, hooks: Hooks | None = None):
         self.machine = machine
-        self.compiled = compiled
+        self.hooks = hooks
+        self.arrivals: dict[tuple[int, int], int] = {}
+        self.notes: dict[int, list[str]] = {}  # debugger edits, noted on the thread's next step
         self.trace: list[dict] = []
         self.violations: list[dict] = []
         self.clrex_on_switch = False
         self._prev_tid: int | None = None
 
     def dispatch(self, thread_id: int):
-        """Apply the tampers hooked at the thread's pc, step it (or record
-        a no-op for a finished one), record its entries into crowded
-        regions and return the StepOutcome, None when nothing ran.
+        """Count an arrival and apply the tampers at the thread's pc, step
+        it (or record a no-op for a finished one), record its entries into
+        crowded regions and return the StepOutcome, None when nothing ran.
         Tampers fire before the step only: GDB-mode hooks strictly inside
         an exclusive range are rejected when compiled, so no hook can
         match a later instruction of the same step."""
@@ -166,11 +171,13 @@ class _Runner:
                 event["label"] = listing[t.pc][0]
             self.trace.append(event)
             return None
-        note = None
-        if self.compiled is not None:
-            note = "; ".join(apply_tampers(self.compiled, m, thread_id, t.pc)) or None
+        key = (thread_id, t.pc)
+        arrival = self.arrivals[key] = self.arrivals.get(key, 0) + 1
+        edits = self.notes.pop(thread_id, []) if self.notes else []
+        if self.hooks is not None:
+            edits += apply_tampers(self.hooks, m, thread_id, t.pc, arrival)
         outcome = step(m, thread_id)
-        self._trace_step(thread_id, outcome.executed, note)
+        self._trace_step(thread_id, outcome.executed, edits)
         region_at = m.program.region_at
         after = m.threads[thread_id]
         if region_at[after.pc] and after.status == RUNNABLE:
@@ -187,9 +194,10 @@ class _Runner:
                     self.trace.append(event)
         return outcome
 
-    def _trace_step(self, thread_id: int, executed: list, note: str | None) -> None:
+    def _trace_step(self, thread_id: int, executed: list, edits: list[str]) -> None:
         """Append one event per instruction of a step's `executed` list,
-        with the tamper `note` on the first."""
+        with the tamper `edits` noted on the first."""
+        note = "; ".join(edits) if edits else None
         m = self.machine
         trace = self.trace
         prog = m.program
@@ -278,8 +286,7 @@ def run_schedule(
         if count < 1:
             raise ValueError(f"schedule entry for thread {tid} has step count {count}")
 
-    compiled = compile_tampers(tampers, machine) if tampers else None
-    runner = _Runner(machine, compiled)
+    runner = _Runner(machine, compile_tampers(tampers, machine) if tampers else None)
     runner.clrex_on_switch = script.clrex_on_switch
 
     # The budget counts the script's dispatches, no-ops included.
@@ -302,8 +309,7 @@ def run_random(
     step budget runs out. Identical seeds give identical runs."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    compiled = compile_tampers(tampers, machine) if tampers else None
-    runner = _Runner(machine, compiled)
+    runner = _Runner(machine, compile_tampers(tampers, machine) if tampers else None)
     rng = splitmix64(seed)
     truncated = False
     # Only a step that ends its thread changes the runnable set: tampers

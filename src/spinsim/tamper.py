@@ -5,10 +5,12 @@ is stopped: a debugger `set $Rn` at a stop point, or (in HW mode) a
 hardware fault flipping bits at any instruction boundary. Hooks fire
 immediately before the instruction at the hooked PC executes for the
 hooked thread. Tampers touch registers only, never memory, PC, flags,
-or monitors. `edit_register` is the one register edit, shared by the
-hooks and the debugger's `set $R`; `compile_tampers` makes every check
-for both. `resolve_location` reads the `label+offset` location format
-and `location_for_pc` writes it.
+or monitors. `compile_tampers` makes every check and returns the hooks
+table; `apply_tampers`, the one register edit, for scenario hooks and
+the debugger's `set $R` alike, fires the specs whose occurrence is the
+arrival its caller counted (`sched._Runner.arrivals`) or `every`.
+`resolve_location` reads the `label+offset` location format and
+`location_for_pc` writes it.
 
 In GDB mode a hook may not sit strictly inside an LDREX..STREX range
 (the debugger cannot stop there); hooking the LDREX itself, the range
@@ -51,15 +53,7 @@ class TamperSpec:
         return f"R{self.register} flip_bit {value}"
 
 
-@dataclass
-class _Hook:
-    spec: TamperSpec
-    arrivals: int = 0
-
-
-@dataclass
-class CompiledTampers:
-    hooks: dict[tuple[int, int], list[_Hook]]
+Hooks = dict[tuple[int, int], list[TamperSpec]]   # (thread, pc) -> specs, in order
 
 
 def resolve_location(location: str, program: Program) -> int:
@@ -116,14 +110,14 @@ def _validate(spec: TamperSpec, thread_count: int) -> None:
         raise TamperError(f"occurrence must be >= 1 or 'every', got {shown}")
 
 
-def compile_tampers(specs: list[TamperSpec], machine: MachineState) -> CompiledTampers:
+def compile_tampers(specs: list[TamperSpec], machine: MachineState) -> Hooks:
     """Check every spec against the machine's program, mode and thread
     count, and resolve its location to a PC index. Besides the spec's own
     fields, this enforces the stop-point restriction: in GDB mode no hook
     may lie strictly inside an LDREX..STREX range (the error message
     names the range)."""
     program = machine.program
-    hooks: dict[tuple[int, int], list[_Hook]] = {}
+    hooks: Hooks = {}
     for spec in specs:
         _validate(spec, len(machine.threads))
         pc = resolve_location(spec.location, program)
@@ -135,47 +129,37 @@ def compile_tampers(specs: list[TamperSpec], machine: MachineState) -> CompiledT
                 f"the exclusive range [{l}, {s}]; in gdb mode only the range "
                 f"entry (pc {l}) is a legal stop point"
             )
-        hooks.setdefault((spec.thread_id, pc), []).append(_Hook(spec))
-    return CompiledTampers(hooks=hooks)
+        hooks.setdefault((spec.thread_id, pc), []).append(spec)
+    return hooks
 
 
 def apply_tampers(
-    compiled: CompiledTampers,
+    hooks: Hooks,
     machine: MachineState,
     thread_id: int,
     pc: int,
+    arrival: int,
 ) -> list[str]:
-    """Apply any hooks matching (thread, pc); called by the scheduler
-    before the step that retires that instruction. Non-matching calls
-    are no-ops. Edits replace the thread's record. Returns descriptions of
-    the edits applied."""
-    hook_list = compiled.hooks.get((thread_id, pc))
-    if not hook_list:
-        return []
+    """Apply the specs hooked at (thread, pc) whose occurrence is
+    `arrival`, that thread's count of arrivals at `pc` including this
+    one, or `every`; called before the step that retires that
+    instruction. Each edit replaces the thread's record. Returns
+    descriptions of the edits applied, in spec order."""
     applied = []
-    for hook in hook_list:
-        hook.arrivals += 1
-        spec = hook.spec
-        if spec.occurrence != EVERY and hook.arrivals != spec.occurrence:
+    for spec in hooks.get((thread_id, pc), ()):
+        if spec.occurrence not in (arrival, EVERY):
             continue
-        old, new = edit_register(machine, spec)
+        t = machine.threads[thread_id]
+        kind, value = spec.action
+        old = t.regs[spec.register]
+        if kind == "set":
+            new = value & MASK32
+        elif kind == "add":
+            new = (old + value) & MASK32
+        else:
+            new = old ^ (1 << value)
+        regs = list(t.regs)
+        regs[spec.register] = new
+        machine.threads[thread_id] = t._replace(regs=tuple(regs))
         applied.append(f"{spec.describe_action()} ({old} -> {new})")
     return applied
-
-
-def edit_register(machine: MachineState, spec: TamperSpec) -> tuple[int, int]:
-    """Apply `spec`'s action to its thread now, replacing the thread's
-    record; returns the register's old and new values."""
-    t = machine.threads[spec.thread_id]
-    kind, value = spec.action
-    old = t.regs[spec.register]
-    if kind == "set":
-        new = value & MASK32
-    elif kind == "add":
-        new = (old + value) & MASK32
-    else:
-        new = old ^ (1 << value)
-    regs = list(t.regs)
-    regs[spec.register] = new
-    machine.threads[spec.thread_id] = t._replace(regs=tuple(regs))
-    return old, new

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -160,10 +161,6 @@ _SESSION_COMMANDS = st.one_of(
 )
 
 
-def _untampered(trace):
-    return [{k: v for k, v in event.items() if k != "tamper"} for event in trace]
-
-
 LATE_ATTACK_COMMANDS = ["thread 0", "step 5", "thread 1", "step 8"] + ATTACK_COMMANDS[4:]
 # Thread 1 steps into the held critical section, which records a violation
 # event at its pc, and is edited there: that event is not a retirement.
@@ -183,15 +180,23 @@ EDIT_AT_VIOLATION_COMMANDS = ATTACK_COMMANDS[:8] + ["step", "set $R9 = 3", "cont
 def test_exported_sessions_replay_exactly(name, mode, threads, commands, tmp_path_factory):
     """Every `set` is recorded with the occurrence its replayed hook
     fires at: the replay of an export retraces the session, so memory and
-    violations agree, and fires each recorded edit once. The replay halts
-    before a later arrival, so export refuses while an edited thread has
-    not stepped since its edit, naming the first such edit."""
+    violations agree, its trace (tamper notes included) is the session's,
+    and it fires each recorded edit once. The runner's arrival count is
+    the reference rule: a thread's retirements at each pc where it can
+    stop (every pc in HW mode). The replay halts before a later arrival,
+    so export refuses while an edited thread has not stepped since its
+    edit, naming the first such edit."""
     program = parse_program(spinsim.corpus_path(name).read_text(encoding="utf-8"))
     session = DebugSession(program, threads, mode, program_name=name)
     marks = []  # the dispatches made before each recorded edit
     for command in commands:
         session.handle(command)
         marks += [len(session.dispatch_log)] * (len(session.recorded_tampers) - len(marks))
+    stops = [mode is ExecMode.HW or inside is None for inside in program.inside_range]
+    retired = Counter(
+        (e["thread"], e["pc"]) for e in session.runner.trace if "instr" in e and stops[e["pc"]]
+    )
+    assert session.runner.arrivals == retired
     path = tmp_path_factory.mktemp("export") / "session.scn"
     unreplayed = [
         spec for spec, at in zip(session.recorded_tampers, marks)
@@ -212,7 +217,7 @@ def test_exported_sessions_replay_exactly(name, mode, threads, commands, tmp_pat
     assert result.final_memory == session.machine.memory_by_symbol()
     assert len(result.violations) == len(session.runner.violations)
     assert check_expectations(scenario, result) == []
-    assert _untampered(result.trace) == _untampered(session.runner.trace)
+    assert result.trace == session.runner.trace
     fired = [e["tamper"] for e in result.trace if "tamper" in e]
     assert sum(len(note.split("; ")) for note in fired) == len(session.recorded_tampers)
 

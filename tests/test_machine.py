@@ -48,7 +48,7 @@ def test_init_ten_threads(load_corpus):
     assert all(t.status == RUNNABLE for t in m.threads)
     assert all(t.pc == p.entry for t in m.threads)
     assert all(t.regs == (0,) * 13 for t in m.threads)
-    assert all(t.monitor_open() for t in m.threads)
+    assert all(t.mon_granule is None for t in m.threads)
     assert m.memory_by_symbol()["lockVar"] == 0
     assert m.step_count == 0
 
@@ -67,7 +67,7 @@ def test_init_bounds_the_thread_count_before_allocating(load_corpus):
 def test_init_single_thread_minimal(load_corpus):
     m = init_machine(load_corpus("lock_basic.s"), 1)
     assert len(m.threads) == 1
-    assert m.threads[0].monitor_open()
+    assert m.threads[0].mon_granule is None
 
 
 def test_init_overrides(load_corpus):
@@ -180,7 +180,7 @@ def test_monitor_hygiene_second_strex_fails():
     t = m.threads[0]
     assert t.regs[2] == 0    # first succeeds
     assert t.regs[3] == 1    # second has no reservation
-    assert t.monitor_open()
+    assert t.mon_granule is None
 
 
 def test_clrex_drops_reservation():
@@ -195,9 +195,9 @@ def test_clrex_drops_reservation():
     m = init_machine(p, 1)
     step(m, 0)
     step(m, 0)
-    assert not m.threads[0].monitor_open()
+    assert m.threads[0].mon_granule is not None
     step(m, 0)
-    assert m.threads[0].monitor_open()
+    assert m.threads[0].mon_granule is None
     step(m, 0)
     step(m, 0)
     assert m.threads[0].regs[2] == 1
@@ -260,7 +260,7 @@ def test_unmapped_access_faults_thread_only():
     out = step(m, 0)
     assert out.new_status == FAULTED
     assert m.threads[0].fault == "bus error"
-    assert m.threads[0].monitor_open()
+    assert m.threads[0].mon_granule is None
     # the machine keeps running other threads
     assert m.threads[1].status == RUNNABLE
     step(m, 1)

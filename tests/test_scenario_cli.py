@@ -810,3 +810,39 @@ def test_cli_run_very_deep_yaml_is_one_line_error(corpus_file, tmp_path):
     assert done.returncode == 1, done.stderr[-500:]
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (["lint", "lock_regcmp.s", "--format", "records"], False),
+        (["lint", "lock_regcmp.s", "--format", "records"], True),
+        (["run", "lock_regcmp.s", "regtamper_attack.scn"], False),
+        (["run", "lock_regcmp.s", "regtamper_attack.scn"], True),
+        (["explore", "unlocked_inc.s", "--threads", "2"], False),
+        (["explore", "unlocked_inc.s", "--threads", "2"], True),
+        (["--version"], False),
+    ],
+)
+def test_cli_closed_stdout_exits_1_without_traceback(argv, unbuffered, corpus_file):
+    # The read end is closed before the child starts, so its first write
+    # (unbuffered) or its final flush (buffered) always fails with EPIPE.
+    env = _spinsim_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "spinsim"] + [str(corpus_file(a)) if "." in a else a for a in argv],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""

@@ -184,7 +184,7 @@ def test_thread_records_are_values(load_corpus):
 
     compiled = compile_tampers([TamperSpec(1, "retry", 7, ("set", 5))], init_machine(p, 2, ExecMode.HW))
     held = m.threads[1]
-    assert apply_tampers(compiled, m, 1, 0) == ["R7 = 5 (0 -> 5)"]
+    assert apply_tampers(compiled, m, 1, 0, 1) == ["R7 = 5 (0 -> 5)"]
     assert held == fresh
     assert m.threads[1] == fresh._replace(regs=(0,) * 7 + (5,) + (0,) * 5)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,7 +94,7 @@ def test_hw_mode_allows_hooks_inside_range(load_corpus):
     p = load_corpus("lock_regcmp.s")
     spec = TamperSpec(thread_id=0, location="retry+5", register=9, action=("set", 0))
     compiled = compile_tampers([spec], init_machine(p, 2, ExecMode.HW))
-    assert compiled.hooks
+    assert compiled
 
 
 def test_spec_validation(load_corpus):
@@ -125,14 +127,14 @@ def test_apply_respects_thread_and_occurrence(load_corpus):
     compiled = compile_tampers([ADD1], init_machine(p, 2, ExecMode.GDB))
 
     # wrong thread: no-op
-    assert apply_tampers(compiled, m, 0, 2) == []
+    assert apply_tampers(compiled, m, 0, 2, 1) == []
     assert m.threads[0].regs[7] == 0
     # matching thread, first arrival: fires
-    edits = apply_tampers(compiled, m, 1, 2)
+    edits = apply_tampers(compiled, m, 1, 2, 1)
     assert edits == ["R7 += 1 (0 -> 1)"]
     assert m.threads[1].regs[7] == 1
     # second arrival: occurrence=1 exhausted
-    assert apply_tampers(compiled, m, 1, 2) == []
+    assert apply_tampers(compiled, m, 1, 2, 2) == []
     assert m.threads[1].regs[7] == 1
 
 
@@ -141,8 +143,8 @@ def test_every_occurrence_fires_each_arrival(load_corpus):
     m = init_machine(p, 1, ExecMode.GDB)
     spec = TamperSpec(0, "retry", 3, ("add", 2), occurrence=EVERY)
     compiled = compile_tampers([spec], init_machine(p, 2, ExecMode.GDB))
-    for expected in (2, 4, 6):
-        apply_tampers(compiled, m, 0, 0)
+    for arrival, expected in ((1, 2), (2, 4), (3, 6)):
+        apply_tampers(compiled, m, 0, 0, arrival)
         assert m.threads[0].regs[3] == expected
 
 
@@ -151,7 +153,7 @@ def test_flip_bit_action(load_corpus):
     m = init_machine(p, 1, ExecMode.HW)
     spec = TamperSpec(0, "retry", 4, ("flip_bit", 31))
     compiled = compile_tampers([spec], init_machine(p, 2, ExecMode.HW))
-    apply_tampers(compiled, m, 0, 0)
+    apply_tampers(compiled, m, 0, 0, 1)
     assert m.threads[0].regs[4] == 0x80000000
 
 
@@ -171,7 +173,7 @@ def test_tampers_touch_registers_only(load_corpus):
         t.mon_version,
         [r for i, r in enumerate(t.regs) if i != 7],
     )
-    apply_tampers(compiled, m, 1, 2)
+    apply_tampers(compiled, m, 1, 2, 1)
     t = m.threads[1]
     after = (
         m.memory,
@@ -196,8 +198,12 @@ def test_attack_walks_loser_past_both_compares(load_corpus):
         step(m, 0)  # thread 0 holds the lock, sits in the critical region
     compiled = compile_tampers([ADD1, SET0], init_machine(p, 2, ExecMode.GDB))
 
+    arrivals = Counter()
+
     def tamper_then_step():
-        apply_tampers(compiled, m, 1, m.threads[1].pc)
+        pc = m.threads[1].pc
+        arrivals[pc] += 1
+        apply_tampers(compiled, m, 1, pc, arrivals[pc])
         step(m, 1)
 
     for _ in range(2):
