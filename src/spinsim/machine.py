@@ -2,12 +2,12 @@
 
 Each thread's state is an immutable `ThreadState` value. `step(machine,
 thread_id)`, the one transition function, puts a new record in
-`MachineState.threads` for every instruction it retires; tampers, the
+`MachineState.threads` for the one instruction it retires; tampers, the
 debugger's `set $R` and a scheduler-switch CLREX replace records the
 same way, between steps, so a record taken earlier never changes.
 Memory is a value too: a tuple with one `(value, version)` pair per
 data word in declaration order, which each store replaces whole. `step`
-returns the records and memories around each retired instruction; trace
+returns the records and memories around the retired instruction; trace
 events are built from those by the scheduler, not here.
 
 The machine is sequentially consistent: one instruction retires at a
@@ -42,16 +42,10 @@ share it. A kernel takes a thread record and a memory and returns the
 new record and memory; the memory is the same object unless the
 instruction stored, and traces and explorer keys test for that with `is`.
 
-Two stepping modes:
-
-    HW   one step() retires exactly one instruction, one kernel call.
-    GDB  reproduces a debugger that cannot stop between LDREX and its
-         matching STREX: a step starting at an LDREX retires
-         instructions until the PC leaves the static [LDREX, STREX]
-         index range, so a stopped thread never rests strictly inside
-         an exclusive range. It reads that rule from the program's stop
-         table, `Program.inside_range`, which `Program` builds once, as
-         it does the data layout: `MachineState` holds run state only.
+`step` retires exactly one instruction, one kernel call, in either
+mode: GDB mode's rule that a thread never stops between LDREX and its
+STREX is the runner's dispatch rule (see `sched`). `MachineState` holds
+run state only; what depends only on the program lives on `Program`.
 
 Faults (unmapped or unaligned access, bad branch target) halt only the
 offending thread; the rest of the machine keeps running.
@@ -75,19 +69,10 @@ FAULTED = "faulted"
 # allocates; no corpus scenario or benchmark workload uses more than 10.
 MAX_THREADS = 1024
 
-# A GDB-mode step retiring more than this many instructions means the
-# program loops without leaving the exclusive range; fault rather than hang.
-_ATOMIC_STEP_LIMIT = 4096
-
 
 class ExecMode(enum.Enum):
     GDB = "gdb"
     HW = "hw"
-
-
-# On CPython 3.11 reading an enum member through its class costs several
-# times a module-global read, once per step; `step` reads this name.
-_HW = ExecMode.HW
 
 
 class ThreadState(NamedTuple):
@@ -117,7 +102,6 @@ class MachineState:
     mode: ExecMode
     threads: list[ThreadState]
     memory: Memory
-    step_count: int = 0
 
     def runnable_threads(self) -> list[int]:
         return [i for i, t in enumerate(self.threads) if t.status == RUNNABLE]
@@ -383,43 +367,19 @@ _KERNEL_OF = {
 
 
 def step(machine: MachineState, thread_id: int) -> StepOutcome:
-    """Advance one thread by one scheduling step.
+    """Retire one instruction of a runnable thread: replace
+    `machine.threads[thread_id]` with its new record and report it in
+    `StepOutcome.executed` with the records and memories around it. A
+    thread that is not runnable does nothing and reports no entry.
 
-    In HW mode exactly one instruction retires. In GDB mode the step
-    keeps retiring instructions while the PC sits strictly inside an
-    LDREX..STREX range, so the thread never stops mid-pair. Each retired
-    instruction replaces `machine.threads[thread_id]` with a new record
-    and is reported in `StepOutcome.executed` with the records and
-    memories around it.
-
-    Nothing acts between the instructions of one step: a tamper is an
-    edit made before the step starts, at a point a debugger (GDB) or a
-    fault (HW, one instruction per step) can stop at.
+    Nothing acts inside a step: a tamper, a debugger edit or a
+    scheduler's switch is an edit made between steps.
     """
     threads = machine.threads
     t = threads[thread_id]
     if t.status != RUNNABLE:
         return _new(StepOutcome, ([], t.status))
-    kernels = machine.program.kernels
     memory = machine.memory
-    machine.step_count += 1
-    if machine.mode is _HW:
-        after, machine.memory = kernels[t.pc](t, memory)
-        threads[thread_id] = after
-        return _new(StepOutcome, ([(t, after, memory, machine.memory)], after.status))
-
-    executed: list[tuple[ThreadState, ThreadState, Memory, Memory]] = []
-    inside = machine.program.inside_range
-    while True:
-        after, machine.memory = kernels[t.pc](t, memory)
-        more = after.status == RUNNABLE and inside[after.pc] is not None
-        if more and len(executed) == _ATOMIC_STEP_LIMIT - 1:
-            # The limit faults the thread in the record of the
-            # instruction that reached it, so its event names the fault.
-            after = after._replace(status=FAULTED, fault="atomic-step limit", mon_granule=None)
-            more = False
-        threads[thread_id] = after
-        executed.append((t, after, memory, machine.memory))
-        t, memory = after, machine.memory
-        if not more:
-            return _new(StepOutcome, (executed, t.status))
+    after, machine.memory = machine.program.kernels[t.pc](t, memory)
+    threads[thread_id] = after
+    return _new(StepOutcome, ([(t, after, memory, machine.memory)], after.status))

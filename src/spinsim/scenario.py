@@ -264,6 +264,8 @@ def parse_scenario(doc: dict) -> Scenario:
             }
         if "violations" in expectations:
             expect_violations = _int(expectations["violations"], "expected violations")
+            if expect_violations < 0:
+                raise ScenarioError(f"expected violations must be >= 0, got {expect_violations}")
 
     return Scenario(
         threads=threads,

@@ -1,24 +1,34 @@
 """Schedule execution: scripted and random runs, exhaustive exploration.
 
 A schedule is a list of (thread_id, step_count) entries consumed in
-order; one entry step equals one machine step() call, so in GDB mode a
-step may retire a whole LDREX..STREX group while in HW mode it retires
-exactly one instruction. After the script any remaining runnable
-threads are completed round-robin (lowest thread id first) unless the
-script says halt.
+order; one entry step equals one runner dispatch. After the script any
+remaining runnable threads are completed round-robin (lowest thread id
+first) unless the script says halt.
 
 Runs dispatch through `_Runner`. It keeps the one arrival count,
 `arrivals[(thread, pc)]`, the thread's runnable dispatches from that pc,
 which scenario hooks and debugger edits alike match their occurrence
-against. It applies tampers between steps and
-appends each trace event as the JSON-ready record `emit_trace` writes
-(see `trace` for its keys), built from the records and memories `step`
-reports around one retired instruction and numbered by trace position.
+against, and `step_count`, the runnable dispatches of all threads, which
+`max_steps` bounds and `RunResult.steps_taken` reports. It applies
+tampers between dispatches and appends each trace event as the
+JSON-ready record `emit_trace` writes (see `trace` for its keys), built
+from the records and memories `step` reports around each retired
+instruction and numbered by trace position.
+
+`machine.step` retires one instruction; how many one dispatch retires
+is the runner's rule, by mode:
+
+    HW   one step.
+    GDB  reproduces a debugger that cannot stop between LDREX and its
+         matching STREX: the runner steps the thread again while its pc
+         is strictly inside a static [LDREX, STREX] index range (the
+         stop table `Program.inside_range`), and faults it rather than
+         hang once one dispatch retires `_ATOMIC_STEP_LIMIT` of them.
 
 Mutual exclusion has one rule, `crowded_regions`: a `.region` is
 crowded when two or more runnable threads are inside it. The explorer
 reports each visited state with a crowded region. A run records a
-violation event when a step leaves its thread runnable inside a region
+violation event when a dispatch leaves its thread runnable inside a region
 it was not inside before, and that region is crowded: one event per
 region, in region order, kept in `violations` as well as in the trace.
 Regions may not hold the entry pc, so threads start outside them and
@@ -59,6 +69,7 @@ from .machine import (
     RUNNABLE,
     ExecMode,
     MachineState,
+    StepOutcome,
     ThreadState,
     init_machine,
     step,
@@ -70,6 +81,10 @@ MASK64 = 0xFFFFFFFFFFFFFFFF
 DEFAULT_MAX_STEPS = 100_000
 EXPLORE_MAX_STEPS = 10_000
 EXPLORE_MAX_STATES = 1_000_000
+
+# A GDB-mode dispatch retiring this many instructions without leaving the
+# exclusive range means the program loops there; fault rather than hang.
+_ATOMIC_STEP_LIMIT = 4096
 
 
 def splitmix64(seed: int):
@@ -133,13 +148,17 @@ def crowded_regions(program: Program, threads: list[ThreadState]) -> set[int]:
 
 class _Runner:
     """Dispatch loop shared by scripted runs, random runs, and the
-    debugger: counts arrivals, applies tampers, steps threads, records
-    region entries into crowded regions, and builds the trace."""
+    debugger: counts arrivals and steps, applies tampers, steps threads
+    by the mode's dispatch rule, records region entries into crowded
+    regions, and builds the trace."""
 
     def __init__(self, machine: MachineState, hooks: Hooks | None = None):
         self.machine = machine
         self.hooks = hooks
+        # GDB mode's stop table; None in HW mode, where every pc is a stop.
+        self.inside = machine.program.inside_range if machine.mode is ExecMode.GDB else None
         self.arrivals: dict[tuple[int, int], int] = {}
+        self.step_count = 0
         self.notes: dict[int, list[str]] = {}  # debugger edits, noted on the thread's next step
         self.trace: list[dict] = []
         self.violations: list[dict] = []
@@ -148,11 +167,12 @@ class _Runner:
 
     def dispatch(self, thread_id: int):
         """Count an arrival and apply the tampers at the thread's pc, step
-        it (or record a no-op for a finished one), record its entries into
-        crowded regions and return the StepOutcome, None when nothing ran.
-        Tampers fire before the step only: GDB-mode hooks strictly inside
-        an exclusive range are rejected when compiled, so no hook can
-        match a later instruction of the same step."""
+        it to its next stop (or record a no-op for a finished one), record
+        its entries into crowded regions and return the StepOutcome of the
+        whole dispatch, None when nothing ran. Tampers fire before the
+        first step only: GDB-mode hooks strictly inside an exclusive range
+        are rejected when compiled, so no hook can match a later
+        instruction of the same dispatch."""
         m = self.machine
         if self.clrex_on_switch and self._prev_tid not in (None, thread_id):
             # OS-like behavior: descheduling drops the outgoing reservation.
@@ -173,13 +193,29 @@ class _Runner:
             return None
         key = (thread_id, t.pc)
         arrival = self.arrivals[key] = self.arrivals.get(key, 0) + 1
+        self.step_count += 1
         edits = self.notes.pop(thread_id, []) if self.notes else []
         if self.hooks is not None:
             edits += apply_tampers(self.hooks, m, thread_id, t.pc, arrival)
         outcome = step(m, thread_id)
+        after = m.threads[thread_id]
+        inside = self.inside
+        if inside is not None and inside[after.pc] is not None and after.status == RUNNABLE:
+            # GDB mode: step on through the rest of the exclusive range.
+            executed = outcome.executed
+            while inside[after.pc] is not None and after.status == RUNNABLE:
+                if len(executed) == _ATOMIC_STEP_LIMIT:
+                    # Fault the record that reached it, so its event names the fault.
+                    before, _, memory_before, memory_after = executed[-1]
+                    after = m.threads[thread_id] = after._replace(
+                        status=FAULTED, fault="atomic-step limit", mon_granule=None)
+                    executed[-1] = (before, after, memory_before, memory_after)
+                    break
+                executed += step(m, thread_id).executed
+                after = m.threads[thread_id]
+            outcome = StepOutcome(executed, after.status)
         self._trace_step(thread_id, outcome.executed, edits)
         region_at = m.program.region_at
-        after = m.threads[thread_id]
         if region_at[after.pc] and after.status == RUNNABLE:
             entered = [r for r in region_at[after.pc] if r not in region_at[t.pc]]
             crowded = crowded_regions(m.program, m.threads) if entered else ()
@@ -195,7 +231,7 @@ class _Runner:
         return outcome
 
     def _trace_step(self, thread_id: int, executed: list, edits: list[str]) -> None:
-        """Append one event per instruction of a step's `executed` list,
+        """Append one event per instruction of a dispatch's `executed` list,
         with the tamper `edits` noted on the first."""
         note = "; ".join(edits) if edits else None
         m = self.machine
@@ -243,7 +279,7 @@ class _Runner:
             if not runnable:
                 return False
             for tid in runnable:
-                if m.step_count >= max_steps:
+                if self.step_count >= max_steps:
                     return True
                 self.dispatch(tid)
 
@@ -255,7 +291,7 @@ class _Runner:
             thread_statuses=[(t.status, t.fault) for t in m.threads],
             violations=self.violations,
             trace=self.trace,
-            steps_taken=m.step_count,
+            steps_taken=self.step_count,
             truncated=truncated,
             header={
                 "program_sha256": m.program.sha256(),
@@ -316,7 +352,7 @@ def run_random(
     # edit registers only, and random runs never clear on switch.
     runnable = machine.runnable_threads()
     while runnable:
-        if machine.step_count >= max_steps:
+        if runner.step_count >= max_steps:
             truncated = True
             break
         if runner.dispatch(runnable[next(rng) % len(runnable)]).new_status != RUNNABLE:
@@ -403,13 +439,14 @@ def explore(
     max_steps: int = EXPLORE_MAX_STEPS,
     max_states: int = EXPLORE_MAX_STATES,
 ) -> ExploreReport:
-    """Depth-first enumeration of every interleaving (HW mode, one
-    instruction per step) up to the bounds, memoized on full machine
-    state. Reports each distinct final memory with a witness schedule,
-    plus every reachable state with a crowded region. Bound exhaustion
-    sets truncated; the report stays sound for the explored prefix.
-    `_freeze` and `_thaw` stay separate functions because perfbench
-    times them as the explorer's keying layer (`sched.explore.key_s`)."""
+    """Depth-first enumeration of every interleaving in HW mode, one
+    `step` per transition (no runner, so no step count), up to the
+    bounds, memoized on full machine state. Reports each distinct final
+    memory with a witness schedule, plus every reachable state with a
+    crowded region. Bound exhaustion sets truncated; the report stays
+    sound for the explored prefix. `_freeze` and `_thaw` stay separate
+    because perfbench times them as the explorer's keying layer
+    (`sched.explore.key_s`)."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if max_states < 1:

@@ -137,7 +137,7 @@ def test_session_budget_stops_step_and_export_replays(tmp_path):
     session = DebugSession(program, 1, ExecMode.HW)
     budget_line = "step budget exhausted: a session holds at most 100000 dispatches"
     assert session.handle("step 100001") == budget_line
-    assert len(session.dispatch_log) == session.machine.step_count == 100_000
+    assert len(session.dispatch_log) == session.runner.step_count == 100_000
     assert session.handle("continue") == budget_line
     assert session.handle("step") == budget_line
     assert len(session.dispatch_log) == 100_000

@@ -21,11 +21,19 @@ from spinsim.machine import (
     RUNNABLE,
     ExecMode,
     MachineState,
+    StepOutcome,
     ThreadState,
     init_machine,
     step,
 )
-from spinsim.sched import ScheduleScript, explore, run_schedule
+from spinsim.sched import (
+    _ATOMIC_STEP_LIMIT,
+    ScheduleScript,
+    _Runner,
+    explore,
+    run_schedule,
+    splitmix64,
+)
 
 TWO_WORDS = ".data lockVar 0\n.data accountBalance 100\n"
 
@@ -50,7 +58,6 @@ def test_init_ten_threads(load_corpus):
     assert all(t.regs == (0,) * 13 for t in m.threads)
     assert all(t.mon_granule is None for t in m.threads)
     assert m.memory_by_symbol()["lockVar"] == 0
-    assert m.step_count == 0
 
 
 def test_init_bounds_the_thread_count_before_allocating(load_corpus):
@@ -306,16 +313,31 @@ def test_exit_at_program_end():
     assert m.threads[0].pc == 1
 
 
-def test_gdb_winner_single_step_retires_through_strex(load_corpus):
-    """At the LDREX with the lock free, one gdb-mode step retires
-    LDREX, CMP, BNE (not taken), MOV, STREX and stops at the status
-    compare."""
+def test_step_retires_one_instruction_in_gdb_mode(load_corpus):
+    """`step` has one path: at an LDREX it retires that one instruction
+    in GDB mode too, leaving the thread inside the exclusive range; the
+    runner, not the machine, steps on to the next stop."""
     p = load_corpus("lock_regcmp.s")
     m = init_machine(p, 1, ExecMode.GDB)
     step(m, 0)  # LDR
     step(m, 0)  # MOV R7
-    assert m.threads[0].pc == 2
+    assert p.instructions[2].opcode == "LDREX"
     out = step(m, 0)
+    assert [before.pc for before, _, _, _ in out.executed] == [2]
+    assert m.threads[0].pc == 3 and p.inside_range[3] is not None
+
+
+def test_gdb_winner_single_step_retires_through_strex(load_corpus):
+    """At the LDREX with the lock free, one gdb-mode dispatch retires
+    LDREX, CMP, BNE (not taken), MOV, STREX and stops at the status
+    compare."""
+    p = load_corpus("lock_regcmp.s")
+    runner = _Runner(init_machine(p, 1, ExecMode.GDB))
+    m = runner.machine
+    runner.dispatch(0)  # LDR
+    runner.dispatch(0)  # MOV R7
+    assert m.threads[0].pc == 2
+    out = runner.dispatch(0)
     assert [before.pc for before, _, _, _ in out.executed] == [2, 3, 4, 5, 6]
     assert m.threads[0].pc == 7
     assert p.instructions[7].text() == "CMP R2, R7"
@@ -324,13 +346,14 @@ def test_gdb_winner_single_step_retires_through_strex(load_corpus):
 
 def test_gdb_loser_cycles_three_stop_points(load_corpus):
     p = load_corpus("lock_regcmp.s")
-    m = init_machine(p, 2, ExecMode.GDB)
+    runner = _Runner(init_machine(p, 2, ExecMode.GDB))
+    m = runner.machine
     for _ in range(5):
-        step(m, 0)  # thread 0 acquires and sits in the critical section
+        runner.dispatch(0)  # thread 0 acquires and sits in the critical section
     assert m.memory_by_symbol()["lockVar"] == 1
     stops = []
     for _ in range(12):
-        step(m, 1)
+        runner.dispatch(1)
         stops.append(m.threads[1].pc)
         assert strictly_inside(p.exclusive_ranges(), m.threads[1].pc) is None
     assert stops == [1, 2, 0] * 4
@@ -345,30 +368,33 @@ def test_hw_mode_steps_single_instructions(load_corpus):
         assert m.threads[0].pc == expected_pc
 
 
+RUNAWAY = (
+    ".data x 0\n"
+    + "    LDR R10, =x\n"
+    + "    LDREX R8, [R10]\n"
+    + "spin:\n"
+    + "    B spin\n"
+    + "    STREX R2, R8, [R10]\n"
+)
+
+
 def test_atomic_runaway_faults_instead_of_hanging():
-    p = parse_program(
-        ".data x 0\n"
-        + "    LDR R10, =x\n"
-        + "    LDREX R8, [R10]\n"
-        + "spin:\n"
-        + "    B spin\n"
-        + "    STREX R2, R8, [R10]\n"
-    )
-    m = init_machine(p, 1, ExecMode.GDB)
-    step(m, 0)
-    out = step(m, 0)  # LDREX region never exits
+    runner = _Runner(init_machine(parse_program(RUNAWAY), 1, ExecMode.GDB))
+    runner.dispatch(0)
+    out = runner.dispatch(0)  # LDREX region never exits
     assert out.new_status == FAULTED
-    assert m.threads[0].fault == "atomic-step limit"
+    assert runner.machine.threads[0].fault == "atomic-step limit"
 
 
 def test_step_determinism(load_corpus):
     p = load_corpus("lock_regcmp.s")
     results = []
     for _ in range(2):
-        m = init_machine(p, 3, ExecMode.GDB)
+        runner = _Runner(init_machine(p, 3, ExecMode.GDB))
+        m = runner.machine
         seq = [0, 0, 0, 1, 1, 2, 0, 1, 2, 2, 1, 0] * 5
         for tid in seq:
-            step(m, tid)
+            runner.dispatch(tid)
         results.append(
             (
                 tuple(tuple(t.regs) + (t.pc, t.status) for t in m.threads),
@@ -416,10 +442,11 @@ def test_stop_table_is_strictly_inside_per_pc(name, load_corpus):
 
 def test_gdb_step_retires_each_of_two_pairs_whole():
     source, _ = STOP_TABLE_INLINE["two_pairs"]
-    m = init_machine(parse_program(source), 1, ExecMode.GDB)
+    runner = _Runner(init_machine(parse_program(source), 1, ExecMode.GDB))
+    m = runner.machine
     stops = []
     while m.threads[0].status == RUNNABLE:
-        step(m, 0)
+        runner.dispatch(0)
         stops.append(m.threads[0].pc)
     assert stops == [1, 4, 5, 7, 8]
     assert m.threads[0].regs[2] == 0 and m.threads[0].regs[4] == 0  # both STREXes stored
@@ -428,7 +455,7 @@ def test_gdb_step_retires_each_of_two_pairs_whole():
 def test_machine_state_holds_run_state_only():
     """What depends only on the program lives on `Program`."""
     fields = [f.name for f in dataclasses.fields(spinsim.MachineState)]
-    assert fields == ["program", "mode", "threads", "memory", "step_count"]
+    assert fields == ["program", "mode", "threads", "memory"]
 
 
 def test_only_isa_evaluates_the_stop_rule():
@@ -443,6 +470,20 @@ def test_only_isa_evaluates_the_stop_rule():
                 if name == "strictly_inside":
                     callers.add(path.stem)
     assert callers == {"isa"}
+
+
+def test_only_the_dispatch_rule_and_the_hook_check_read_the_stop_table():
+    """GDB stepping has one owner: outside `isa`, only `sched` (the
+    runner's dispatch rule) and `tamper` (the hook check) read
+    `Program.inside_range`, and `machine` reads neither the stop table
+    nor a machine's mode, so `step` cannot branch on either."""
+    readers: dict[str, set] = {"inside_range": set(), "mode": set(), "GDB": set()}
+    for path in Path(spinsim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in readers:
+                readers[node.attr].add(path.stem)
+    assert readers["inside_range"] - {"isa"} == {"sched", "tamper"}
+    assert "machine" not in readers["mode"] | readers["GDB"]
 
 
 def test_only_isa_relates_pcs_to_regions():
@@ -718,3 +759,107 @@ def test_one_program_builds_its_kernel_table_once(load_corpus, monkeypatch):
     session.handle("step 3")
     run_schedule(init_machine(program, 3, ExecMode.GDB), ScheduleScript(entries=[]))
     assert built == [program]
+
+
+# --- Differential check of GDB dispatch against the in-step group loop ---
+
+
+def reference_gdb_step(machine: MachineState, thread_id: int) -> StepOutcome:
+    """The GDB-mode loop `step` ran before the runner owned it: retire
+    instructions while the pc is strictly inside an exclusive range, and
+    fault the record of the instruction that reaches the limit."""
+    threads = machine.threads
+    t = threads[thread_id]
+    if t.status != RUNNABLE:
+        return StepOutcome([], t.status)
+    kernels = machine.program.kernels
+    memory = machine.memory
+    executed = []
+    inside = machine.program.inside_range
+    while True:
+        after, machine.memory = kernels[t.pc](t, memory)
+        more = after.status == RUNNABLE and inside[after.pc] is not None
+        if more and len(executed) == _ATOMIC_STEP_LIMIT - 1:
+            after = after._replace(status=FAULTED, fault="atomic-step limit", mon_granule=None)
+            more = False
+        threads[thread_id] = after
+        executed.append((t, after, memory, machine.memory))
+        t, memory = after, machine.memory
+        if not more:
+            return StepOutcome(executed, t.status)
+
+
+def assert_dispatch_matches_reference(program: Program, thread_count: int, picks) -> MachineState:
+    """Dispatch runnable threads in the order `picks` chooses, through the
+    runner and through the reference on a twin machine: every dispatch
+    reports the same `executed` tuples and leaves the same thread
+    records and memory. Returns the reference machine."""
+    runner = _Runner(init_machine(program, thread_count, ExecMode.GDB))
+    m = runner.machine
+    ref = init_machine(program, thread_count, ExecMode.GDB)
+    for pick in picks:
+        runnable = ref.runnable_threads()
+        if not runnable:
+            break
+        tid = runnable[pick % len(runnable)]
+        want = reference_gdb_step(ref, tid)
+        assert runner.dispatch(tid) == want
+        assert m.threads == ref.threads and m.memory == ref.memory
+    return ref
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in spinsim.corpus_dir().glob("*.s")))
+def test_gdb_dispatch_matches_reference_on_corpus(name, load_corpus):
+    program = load_corpus(name)
+    for seed in range(4):
+        rng = splitmix64(seed)
+        assert_dispatch_matches_reference(program, 3, [next(rng) for _ in range(400)])
+
+
+def test_gdb_dispatch_matches_reference_at_the_atomic_step_limit():
+    ref = assert_dispatch_matches_reference(parse_program(RUNAWAY), 2, [0, 0, 1, 1])
+    assert [t.fault for t in ref.threads] == ["atomic-step limit"] * 2
+
+
+_GDB_OPCODES = ("LDREX",) * 3 + ("STREX",) * 3 + (
+    "LDR_ADDR", "STR", "LDR_MEM", "MOV", "ADD", "CMP", "B", "BNE", "BEQ", "CLREX", "NOP",
+)
+
+
+@st.composite
+def gdb_programs(draw):
+    """A program over two words with at least one exclusive pair, and
+    branches, forward and back, that can loop inside it. It first loads
+    the words' addresses into R0 and R1, which address every access and
+    nothing writes, so most accesses reach memory."""
+    size = draw(st.integers(2, 12))
+    labels = {f"L{i}": draw(st.integers(2, size + 2)) for i in range(3)}
+    values = {
+        "reg": st.integers(2, 3), "mem": st.integers(0, 1), "imm": st.integers(-2, 2),
+        "sym": st.sampled_from(["a", "b"]), "label": st.sampled_from(sorted(labels)),
+    }
+    instructions = [
+        Instruction("LDR_ADDR", (("reg", 0), ("sym", "a"))),
+        Instruction("LDR_ADDR", (("reg", 1), ("sym", "b"))),
+    ]
+    opcodes = draw(st.lists(st.sampled_from(_GDB_OPCODES), min_size=size, max_size=size))
+    ldrex = draw(st.integers(0, size - 2))
+    opcodes[ldrex], opcodes[draw(st.integers(ldrex + 1, size - 1))] = "LDREX", "STREX"
+    for op in opcodes:
+        operands = []
+        for kind in _SIGNATURES[op]:
+            if kind == "src":
+                kind = draw(st.sampled_from(("reg", "imm")))
+            operands.append((kind, draw(values[kind])))
+        instructions.append(Instruction(op, tuple(operands)))
+    return Program(instructions, labels, {"a": 0, "b": 0}, regions=[])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    program=gdb_programs(),
+    thread_count=st.integers(1, 3),
+    picks=st.lists(st.integers(0, 5), min_size=10, max_size=40),
+)
+def test_gdb_dispatch_matches_reference(program, thread_count, picks):
+    assert_dispatch_matches_reference(program, thread_count, picks)

@@ -19,7 +19,7 @@ import random
 
 from spinsim.isa import Instruction, Program, strictly_inside
 from spinsim.machine import RUNNABLE, ExecMode, init_machine, step
-from spinsim.sched import splitmix64
+from spinsim.sched import _Runner, splitmix64
 
 SYMBOLS = ("A", "B")
 ADDR_REGS = {"A": 10, "B": 11}
@@ -172,19 +172,20 @@ def test_monitor_soundness_small_sweep():
 
 
 def test_gdb_stop_points_never_strictly_inside(load_corpus):
-    """Random gdb-mode scheduling on every corpus lock: no stopped
+    """Random gdb-mode dispatch on every corpus lock: no stopped
     runnable thread ever rests strictly inside an exclusive range."""
     for name in ("lock_basic.s", "lock_regcmp.s", "lock_no_ll_branch.s", "lock_unlock.s"):
         program = load_corpus(name)
         ranges = program.exclusive_ranges()
         for seed in range(8):
-            m = init_machine(program, 3, ExecMode.GDB)
+            runner = _Runner(init_machine(program, 3, ExecMode.GDB))
+            m = runner.machine
             rng = splitmix64(seed)
             for _ in range(300):
                 runnable = m.runnable_threads()
                 if not runnable:
                     break
-                step(m, runnable[next(rng) % len(runnable)])
+                runner.dispatch(runnable[next(rng) % len(runnable)])
                 for t in m.threads:
                     if t.status == RUNNABLE:
                         assert strictly_inside(ranges, t.pc) is None, (name, seed, t.pc)

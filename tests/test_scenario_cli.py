@@ -194,6 +194,11 @@ def test_random_schedule_round_trip(tmp_path):
             {"threads": 1, "schedule": {"entries": []}, "expectations": {"memory": {"x": -1}}},
             r"expected 'x' must be in 0\.\.4294967295, got -1",
         ),
+        # a run never has fewer than zero violations to match
+        (
+            {"threads": 1, "schedule": {"entries": []}, "expectations": {"violations": -1}},
+            "expected violations must be >= 0, got -1",
+        ),
     ],
 )
 def test_scenario_validation_errors(doc, pattern):

@@ -86,6 +86,22 @@ def test_steps_of_finished_threads_are_recorded_noops(load_corpus):
     assert res.final_memory["accountBalance"] == 105
 
 
+def test_runner_counts_runnable_dispatches(load_corpus):
+    """The runner's `step_count` starts at 0 and counts runnable
+    dispatches: a GDB-mode LDREX..STREX group is one, a finished
+    thread's no-op is none, and `steps_taken` reports it."""
+    runner = _Runner(init_machine(load_corpus("lock_regcmp.s"), 1, ExecMode.GDB))
+    assert runner.step_count == 0
+    for _ in range(3):
+        runner.dispatch(0)  # LDR, MOV R7, then LDREX..STREX as one
+    assert runner.step_count == 3 and runner.machine.threads[0].pc == 7
+    while runner.machine.threads[0].status == RUNNABLE:
+        runner.dispatch(0)
+    steps = runner.step_count
+    assert runner.dispatch(0) is None  # a recorded no-op
+    assert runner.step_count == runner.result("script").steps_taken == steps
+
+
 def test_halt_skips_round_robin_completion(load_corpus):
     p = load_corpus("lock_regcmp.s")
     m = init_machine(p, 2, ExecMode.HW)
@@ -334,10 +350,11 @@ def test_explore_rejects_bounds_below_one(load_corpus, bounds, message):
 
 @pytest.mark.parametrize("max_steps", [0, -3])
 def test_run_schedule_rejects_step_budget_below_one(load_corpus, max_steps):
-    m = init_machine(load_corpus("lock_basic.s"), 2, ExecMode.HW)
+    p = load_corpus("lock_basic.s")
+    m = init_machine(p, 2, ExecMode.HW)
     with pytest.raises(ValueError, match="max_steps must be >= 1"):
         run_schedule(m, ScheduleScript(entries=[(0, 1)]), max_steps=max_steps)
-    assert m.step_count == 0
+    assert m == init_machine(p, 2, ExecMode.HW)  # nothing ran
 
 
 def test_explore_bounded_exhaustive_scale(load_corpus):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import spinsim
 from spinsim.isa import parse_program
-from spinsim.machine import ExecMode, init_machine, step
+from spinsim.machine import ExecMode, init_machine
 from spinsim.scenario import load_scenario, run_scenario
-from spinsim.sched import ScheduleScript, run_random, run_schedule
+from spinsim.sched import ScheduleScript, _Runner, run_random, run_schedule
 from spinsim.tamper import (
     EVERY,
     TamperError,
@@ -193,9 +193,10 @@ def test_attack_walks_loser_past_both_compares(load_corpus):
     through CMP R8, R7; R7 = 0 before CMP R2, R7 lets it keep the
     successful store-conditional status."""
     p = load_corpus("lock_regcmp.s")
-    m = init_machine(p, 2, ExecMode.GDB)
+    runner = _Runner(init_machine(p, 2, ExecMode.GDB))
+    m = runner.machine
     for _ in range(5):
-        step(m, 0)  # thread 0 holds the lock, sits in the critical region
+        runner.dispatch(0)  # thread 0 holds the lock, sits in the critical region
     compiled = compile_tampers([ADD1, SET0], init_machine(p, 2, ExecMode.GDB))
 
     arrivals = Counter()
@@ -204,7 +205,7 @@ def test_attack_walks_loser_past_both_compares(load_corpus):
         pc = m.threads[1].pc
         arrivals[pc] += 1
         apply_tampers(compiled, m, 1, pc, arrivals[pc])
-        step(m, 1)
+        runner.dispatch(1)
 
     for _ in range(2):
         tamper_then_step()
@@ -255,7 +256,7 @@ def test_run_schedule_rejects_gdb_inside_hooks_before_running(load_corpus):
     bad = TamperSpec(1, "retry+4", 7, ("set", 0))
     with pytest.raises(TamperError):
         run_schedule(m, ScheduleScript(entries=[(0, 1)]), tampers=[bad])
-    assert m.step_count == 0  # rejected before anything ran
+    assert m == init_machine(p, 2, ExecMode.GDB)  # rejected before anything ran
 
 
 def test_runs_reject_tampers_on_missing_threads(load_corpus):
