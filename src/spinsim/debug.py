@@ -1,16 +1,18 @@
 """Interactive GDB-style debugger over a simulated machine.
 
 Command names mirror GDB's, so a published attack procedure transcribes
-one-to-one; `HELP` lists them. A session parses commands and drives a
-`_Runner`. `set $R` is a tamper: `location_for_pc` names its pc,
-`compile_tampers` checks it and `apply_tampers` applies it; the runner
-notes it on the thread's next step, as it notes a replayed hook. Its
-occurrence is one more than the runner's arrival count at that pc, the
-count a replayed hook matches. A session holds at most
-`DEFAULT_MAX_STEPS` dispatches, a scenario's replay budget, and `export`
-refuses an edit while that count is below its occurrence (the replay
-halts before that hook could fire), so an export replays the session
-exactly.
+one-to-one; `HELP` lists them, and a command given more arguments than
+it takes is refused. A session records what a replay cannot work out,
+its dispatches and `set` edits: `export` writes them as a scenario
+(`_scenario`), and `trace on` writes that scenario's replay at quit, so
+the session's `_Runner` builds no events. `set $R` is a tamper:
+`location_for_pc` names its pc, `compile_tampers` checks it and
+`apply_tampers` applies it. Its occurrence is one more than the runner's
+arrival count at that pc, the count a replayed hook matches. A session
+holds at most `DEFAULT_MAX_STEPS` dispatches, a scenario's replay
+budget, and `export` refuses an edit while that count is below its
+occurrence (the replay halts before that hook could fire), so an export
+replays the session exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 from .isa import Program
 from .machine import RUNNABLE, ExecMode, init_machine
 from .sched import DEFAULT_MAX_STEPS, _Runner, witness_script
-from .scenario import Scenario, save_scenario
+from .scenario import Scenario, run_scenario, save_scenario
 from .tamper import (
     TamperError,
     TamperSpec,
@@ -76,7 +78,7 @@ class DebugSession:
         self.program = program
         self.program_name = program_name
         self.machine = init_machine(program, thread_count, mode)
-        self.runner = _Runner(self.machine)
+        self.runner = _Runner(self.machine, events=False)
         self.focus = 0
         self.breakpoints: set[str] = set()
         self.scheduler_locking = "step"
@@ -111,10 +113,17 @@ class DebugSession:
         return ""
 
     def result_summary(self):
-        return summarize(self.run_result())
+        return summarize(self.runner.result(f"script:{witness_script(self.dispatch_log).digest()}"))
 
-    def run_result(self):
-        return self.runner.result(f"script:{witness_script(self.dispatch_log).digest()}")
+    def _scenario(self) -> Scenario:
+        """The session as a scenario: its dispatches, then halt, and its edits."""
+        return Scenario(
+            threads=len(self.machine.threads),
+            mode=self.machine.mode,
+            schedule=witness_script(self.dispatch_log),
+            program=self.program_name,
+            tampers=list(self.recorded_tampers),
+        )
 
     # -- commands ----------------------------------------------------------
 
@@ -122,28 +131,27 @@ class DebugSession:
         line = line.strip()
         if not line:
             return ""
-        fields = line.split()
-        cmd = fields[0]
+        cmd, *args = line.split()
         try:
-            if cmd == "thread":
-                return self._cmd_thread(fields[1:])
-            if cmd == "step":
-                return self._cmd_step(fields[1:])
+            if cmd == "thread" and len(args) == 1:
+                return self._cmd_thread(args)
+            if cmd == "step" and len(args) <= 1:
+                return self._cmd_step(args)
             if cmd == "set":
                 return self._cmd_set(line[len("set"):].strip())
-            if cmd == "info":
-                return self._cmd_info(fields[1:])
-            if cmd == "x":
-                return self._cmd_examine(fields[1:])
-            if cmd == "break":
-                return self._cmd_break(fields[1:])
-            if cmd == "continue":
+            if cmd == "info" and len(args) <= 1:
+                return self._cmd_info(args)
+            if cmd == "x" and len(args) == 1:
+                return self._cmd_examine(args)
+            if cmd == "break" and len(args) == 1:
+                return self._cmd_break(args)
+            if cmd == "continue" and not args:
                 return self._cmd_continue()
             if cmd == "trace":
-                return self._cmd_trace(fields[1:])
-            if cmd == "export":
-                return self._cmd_export(fields[1:])
-            if cmd in ("quit", "q"):
+                return self._cmd_trace(args)
+            if cmd == "export" and len(args) == 1:
+                return self._cmd_export(args)
+            if cmd in ("quit", "q") and not args:
                 return self._cmd_quit()
         except _OutOfBudget:
             return _BUDGET_EXHAUSTED
@@ -206,8 +214,7 @@ class DebugSession:
             hooks = compile_tampers([spec], self.machine)
         except TamperError as e:
             return f"refused: {e}"
-        edits = apply_tampers(hooks, self.machine, self.focus, t.pc, arrival)
-        self.runner.notes.setdefault(self.focus, []).extend(edits)
+        apply_tampers(hooks, self.machine, self.focus, t.pc, arrival)
         self.recorded_tampers.append(spec)
         return f"R{reg} = {self.machine.threads[self.focus].regs[reg]} (was {t.regs[reg]})"
 
@@ -270,7 +277,7 @@ class DebugSession:
         if self.trace_path is not None:
             path, self.trace_path = self.trace_path, None
             try:
-                emit_trace(self.run_result(), path)
+                emit_trace(run_scenario(self._scenario(), self.program), path)
             except OSError as e:
                 return (
                     f"cannot write trace {path}: {e.strerror or e}; tracing is off "
@@ -290,13 +297,7 @@ class DebugSession:
                     f"refused: thread {spec.thread_id} has not stepped since set ${spec.describe_action()} "
                     f"at {spec.location}, so a replay would never make that edit"
                 )
-        scenario = Scenario(
-            threads=len(self.machine.threads),
-            mode=self.machine.mode,
-            schedule=witness_script(self.dispatch_log),
-            program=self.program_name,
-            tampers=list(self.recorded_tampers),
-        )
+        scenario = self._scenario()
         if self.machine.finished():
             scenario.expect_memory = dict(self.machine.memory_by_symbol())
             scenario.expect_violations = len(self.runner.violations)

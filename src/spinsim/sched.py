@@ -150,16 +150,17 @@ class _Runner:
     """Dispatch loop shared by scripted runs, random runs, and the
     debugger: counts arrivals and steps, applies tampers, steps threads
     by the mode's dispatch rule, records region entries into crowded
-    regions, and builds the trace."""
+    regions, and builds the trace. With `events` off (the debugger's) it
+    builds only the violation records, and gives them no `step` number."""
 
-    def __init__(self, machine: MachineState, hooks: Hooks | None = None):
+    def __init__(self, machine: MachineState, hooks: Hooks | None = None, events: bool = True):
         self.machine = machine
         self.hooks = hooks
+        self.events = events
         # GDB mode's stop table; None in HW mode, where every pc is a stop.
         self.inside = machine.program.inside_range if machine.mode is ExecMode.GDB else None
         self.arrivals: dict[tuple[int, int], int] = {}
         self.step_count = 0
-        self.notes: dict[int, list[str]] = {}  # debugger edits, noted on the thread's next step
         self.trace: list[dict] = []
         self.violations: list[dict] = []
         self.clrex_on_switch = False
@@ -182,21 +183,22 @@ class _Runner:
 
         t = m.threads[thread_id]
         if t.status != RUNNABLE:
-            event = {
-                "type": "event", "step": len(self.trace), "thread": thread_id, "pc": t.pc,
-                "noop": True,
-            }
-            listing = m.program.listing
-            if t.pc < len(listing) and listing[t.pc][0] is not None:
-                event["label"] = listing[t.pc][0]
-            self.trace.append(event)
+            if self.events:
+                event = {
+                    "type": "event", "step": len(self.trace), "thread": thread_id, "pc": t.pc,
+                    "noop": True,
+                }
+                listing = m.program.listing
+                if t.pc < len(listing) and listing[t.pc][0] is not None:
+                    event["label"] = listing[t.pc][0]
+                self.trace.append(event)
             return None
         key = (thread_id, t.pc)
         arrival = self.arrivals[key] = self.arrivals.get(key, 0) + 1
         self.step_count += 1
-        edits = self.notes.pop(thread_id, []) if self.notes else []
+        edits = None
         if self.hooks is not None:
-            edits += apply_tampers(self.hooks, m, thread_id, t.pc, arrival)
+            edits = apply_tampers(self.hooks, m, thread_id, t.pc, arrival)
         outcome = step(m, thread_id)
         after = m.threads[thread_id]
         inside = self.inside
@@ -214,7 +216,8 @@ class _Runner:
                 executed += step(m, thread_id).executed
                 after = m.threads[thread_id]
             outcome = StepOutcome(executed, after.status)
-        self._trace_step(thread_id, outcome.executed, edits)
+        if self.events:
+            self._trace_step(thread_id, outcome.executed, edits)
         region_at = m.program.region_at
         if region_at[after.pc] and after.status == RUNNABLE:
             entered = [r for r in region_at[after.pc] if r not in region_at[t.pc]]
@@ -222,15 +225,16 @@ class _Runner:
             for r in entered:
                 if r in crowded:
                     event = {
-                        "type": "event", "step": len(self.trace), "thread": thread_id,
-                        "pc": after.pc, "label": m.program.regions[r].name,
-                        "violation": "mutual_exclusion",
+                        "type": "event", "thread": thread_id, "pc": after.pc,
+                        "label": m.program.regions[r].name, "violation": "mutual_exclusion",
                     }
+                    if self.events:
+                        event["step"] = len(self.trace)
+                        self.trace.append(event)
                     self.violations.append(event)
-                    self.trace.append(event)
         return outcome
 
-    def _trace_step(self, thread_id: int, executed: list, edits: list[str]) -> None:
+    def _trace_step(self, thread_id: int, executed: list, edits: list[str] | None) -> None:
         """Append one event per instruction of a dispatch's `executed` list,
         with the tamper `edits` noted on the first."""
         note = "; ".join(edits) if edits else None

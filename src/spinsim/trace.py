@@ -14,9 +14,9 @@ Event fields (empty ones are omitted):
     reg_writes=[[reg, old, new], ...], mem_writes=[[symbol, old, new], ...],
     monitor=[old, new], tamper, violation, fault, noop
 
-An event has no other form: the scheduler's runner (`sched._Runner`)
-builds each one as this record, and `RunResult.trace` holds the records
-that `emit_trace` writes.
+An event has no other form: the runner (`sched._Runner`) builds each
+one as this record for `RunResult.trace`, which `emit_trace` writes. A
+debugger session keeps none: its trace is its export's replay.
 
 Each record is one line of `json.dumps(record, sort_keys=True,
 separators=(",", ":"))`: ASCII-only, keys sorted. One encoder with those

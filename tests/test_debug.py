@@ -3,14 +3,16 @@ from __future__ import annotations
 import json
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinsim
-from spinsim.debug import DebugSession, run_repl
+from spinsim.debug import HELP, DebugSession, run_repl
 from spinsim.isa import parse_program
 from spinsim.machine import ExecMode
 from spinsim.scenario import check_expectations, load_scenario, run_scenario
+from spinsim.trace import emit_trace
 
 ATTACK_COMMANDS = [
     "thread 0",
@@ -129,7 +131,7 @@ def test_session_budget_stops_step_and_export_replays(tmp_path):
     """A session holds at most the dispatches a scenario replays within:
     `step 100001` stops at exactly 100,000 with the budget line, later
     commands that would dispatch stop at once, and the export replays to
-    the session's memory."""
+    the session's memory. The session holds no event records."""
     program = parse_program(
         ".data counter 0\n    LDR R10, =counter\n    MOV R1, #0\n"
         "loop:\n    ADD R1, R1, #1\n    STR R1, [R10]\n    CMP R1, #50000\n    BNE loop\n"
@@ -138,6 +140,7 @@ def test_session_budget_stops_step_and_export_replays(tmp_path):
     budget_line = "step budget exhausted: a session holds at most 100000 dispatches"
     assert session.handle("step 100001") == budget_line
     assert len(session.dispatch_log) == session.runner.step_count == 100_000
+    assert session.runner.trace == []
     assert session.handle("continue") == budget_line
     assert session.handle("step") == budget_line
     assert len(session.dispatch_log) == 100_000
@@ -180,29 +183,31 @@ EDIT_AT_VIOLATION_COMMANDS = ATTACK_COMMANDS[:8] + ["step", "set $R9 = 3", "cont
 def test_exported_sessions_replay_exactly(name, mode, threads, commands, tmp_path_factory):
     """Every `set` is recorded with the occurrence its replayed hook
     fires at: the replay of an export retraces the session, so memory and
-    violations agree, its trace (tamper notes included) is the session's,
-    and it fires each recorded edit once. The runner's arrival count is
-    the reference rule: a thread's retirements at each pc where it can
-    stop (every pc in HW mode). The replay halts before a later arrival,
-    so export refuses while an edited thread has not stepped since its
-    edit, naming the first such edit."""
+    violations agree, its trace is the one `trace on` wrote, and it fires
+    each recorded edit once. The runner's arrival count is the reference
+    rule: a thread's retirements, in the session's trace, at each pc where
+    it can stop (every pc in HW mode). The replay halts before a later
+    arrival, so export refuses while an edited thread has not stepped
+    since its edit, naming the first such edit."""
     program = parse_program(spinsim.corpus_path(name).read_text(encoding="utf-8"))
     session = DebugSession(program, threads, mode, program_name=name)
+    directory = tmp_path_factory.mktemp("export")
+    path, trace_path = directory / "session.scn", directory / "session.jsonl"
+    session.handle(f"trace on {trace_path}")
     marks = []  # the dispatches made before each recorded edit
     for command in commands:
         session.handle(command)
         marks += [len(session.dispatch_log)] * (len(session.recorded_tampers) - len(marks))
-    stops = [mode is ExecMode.HW or inside is None for inside in program.inside_range]
-    retired = Counter(
-        (e["thread"], e["pc"]) for e in session.runner.trace if "instr" in e and stops[e["pc"]]
-    )
-    assert session.runner.arrivals == retired
-    path = tmp_path_factory.mktemp("export") / "session.scn"
     unreplayed = [
         spec for spec, at in zip(session.recorded_tampers, marks)
         if spec.thread_id not in session.dispatch_log[at:]
     ]
     out = session.handle(f"export {path}")
+    assert session.handle("quit").startswith(f"trace written to {trace_path}\n")
+    events = [json.loads(line) for line in trace_path.read_bytes().splitlines()[1:]]
+    stops = [mode is ExecMode.HW or inside is None for inside in program.inside_range]
+    retired = Counter((e["thread"], e["pc"]) for e in events if "instr" in e and stops[e["pc"]])
+    assert session.runner.arrivals == retired
     if unreplayed:
         first = unreplayed[0]
         assert out.startswith(
@@ -217,7 +222,7 @@ def test_exported_sessions_replay_exactly(name, mode, threads, commands, tmp_pat
     assert result.final_memory == session.machine.memory_by_symbol()
     assert len(result.violations) == len(session.runner.violations)
     assert check_expectations(scenario, result) == []
-    assert result.trace == session.runner.trace
+    assert emit_trace(result) == trace_path.read_bytes()
     fired = [e["tamper"] for e in result.trace if "tamper" in e]
     assert sum(len(note.split("; ")) for note in fired) == len(session.recorded_tampers)
 
@@ -295,6 +300,31 @@ def test_unknown_command_prints_help(load_corpus):
     out = session.handle("disassemble")
     assert "unknown or incomplete command" in out
     assert "scheduler-locking" in out
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "thread 1 junk", "step 3 junk", "break retry junk", "x lockVar junk", "info threads junk",
+        "continue junk", "quit now", "q now", "export {tmp}/my attack.scn",
+    ],
+)
+def test_commands_refuse_extra_words(load_corpus, tmp_path, command):
+    """A command given more arguments than it takes gets the reply of an
+    incomplete one and does nothing: no file, no step, no focus change."""
+    command = command.format(tmp=tmp_path)
+    session = DebugSession(load_corpus("lock_regcmp.s"), 2, ExecMode.GDB)
+    assert session.handle(command) == f"unknown or incomplete command: {command!r}\n" + HELP
+    assert session.focus == 0 and session.dispatch_log == [] and session.breakpoints == set()
+    assert not session.done
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_command_keeps_its_usage_reply(load_corpus, tmp_path):
+    """`trace` checks its own arguments: a second path keeps its usage reply."""
+    session = DebugSession(load_corpus("lock_regcmp.s"), 1, ExecMode.GDB)
+    assert session.handle(f"trace on {tmp_path}/a {tmp_path}/b") == "usage: trace on <path>"
+    assert session.trace_path is None
 
 
 def test_trace_on_writes_at_quit(load_corpus, tmp_path):

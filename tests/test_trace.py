@@ -113,10 +113,10 @@ _EVENT_KEYS = {
 }
 
 
-def test_trace_records_keep_the_documented_format(load_corpus, corpus_file):
+def test_trace_records_keep_the_documented_format(load_corpus, corpus_file, tmp_path):
     """The trace format, held by no class: the header's keys, the event
     keys, no empty values, and violations that are the trace's own
-    violation records."""
+    violation records. A debugger session's record is its replay."""
     program = load_corpus("lock_regcmp.s")
     results = [
         run_scenario(load_scenario(corpus_file(name)), program)
@@ -126,7 +126,8 @@ def test_trace_records_keep_the_documented_format(load_corpus, corpus_file):
     for command in ["thread 0", "step 5", "thread 1", "step 2", "set $R7 += 1", "step",
                     "set $R7 = 0", "step", "set scheduler-locking off", "continue"]:
         session.handle(command)
-    results.append(session.run_result())
+    assert session.handle(f"export {tmp_path}/session.scn").startswith("session exported")
+    results.append(run_scenario(load_scenario(tmp_path / "session.scn"), program))
     machine = init_machine(load_corpus("lock_no_ll_branch.s"), 3, ExecMode.HW)
     results.append(run_random(machine, seed=3))
 
@@ -265,6 +266,48 @@ def test_trace_bytes_pinned(name, load_corpus):
     else:
         res = run_random(m, seed=seed, max_steps=max_steps)
     assert hashlib.sha256(emit_trace(res)).hexdigest() == _PINNED_SHA256[name]
+
+
+# Debugger sessions traced with `trace on`: (program, threads, mode,
+# commands). "unreplayed_edit" edits thread 0 and never steps it again,
+# so its export is refused and its trace carries no tamper note. The
+# sha256 of each trace was recorded while a session still kept its own
+# events, so they pin that a session's trace is byte for byte the one
+# it wrote then.
+_PINNED_SESSIONS = {
+    "readme_attack": (
+        "lock_regcmp.s", 3, ExecMode.GDB,
+        ["thread 0", "step 5", "thread 1", "step 2", "set $R7 += 1", "step", "set $R7 = 0", "step",
+         "set scheduler-locking off", "continue"],
+    ),
+    "unreplayed_edit": (
+        "lock_regcmp.s", 2, ExecMode.GDB,
+        ["thread 0", "step 2", "set $R7 = 3", "thread 1", "step 4"],
+    ),
+    "hw_breakpoints": (
+        "lock_basic.s", 3, ExecMode.HW,
+        ["break critical_section", "thread 2", "step 3", "set $R9 += 2", "continue", "set $R5 = 1",
+         "step 2", "continue"],
+    ),
+}
+
+_PINNED_SESSION_SHA256 = {
+    "hw_breakpoints": "a651fc29ff8af7e10184d13f2d5cafba0ae2d07e6860e6bacfc1f8933f926e48",
+    "readme_attack": "5760ac252876eb5f5010dd6995ea6c4cda4def48d00bea108c79cd5a5d638b65",
+    "unreplayed_edit": "009fb72f015b73a0ec5c4ae6f59d9e2ce479ed2be84d63d524e52c87c4dc7fbe",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SESSIONS))
+def test_session_trace_bytes_pinned(name, load_corpus, tmp_path):
+    program, threads, mode, commands = _PINNED_SESSIONS[name]
+    session = DebugSession(load_corpus(program), threads, mode, program_name=program)
+    session.handle(f"trace on {tmp_path}/session.jsonl")
+    for command in commands:
+        session.handle(command)
+    assert session.handle("quit").startswith("trace written to ")
+    data = (tmp_path / "session.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _PINNED_SESSION_SHA256[name]
 
 
 # Trace encoder against `json.dumps` with the settings the trace format
