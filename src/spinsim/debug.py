@@ -187,11 +187,11 @@ class DebugSession:
 
     def _cmd_set(self, rest: str) -> str:
         if rest.startswith("scheduler-locking"):
-            value = rest.split()[-1]
-            if value not in ("step", "off"):
+            words = rest.split()
+            if words[0] != "scheduler-locking" or words[1:] not in (["step"], ["off"]):
                 return "scheduler-locking takes 'step' or 'off'"
-            self.scheduler_locking = value
-            return f"scheduler-locking {value}"
+            self.scheduler_locking = words[1]
+            return f"scheduler-locking {words[1]}"
         m = _SET_REG.match(rest)
         if not m:
             return "usage: set $R<j> = <v> | set $R<j> += <v> | set scheduler-locking step|off"

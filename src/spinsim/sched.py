@@ -10,10 +10,10 @@ Runs dispatch through `_Runner`. It keeps the one arrival count,
 which scenario hooks and debugger edits alike match their occurrence
 against, and `step_count`, the runnable dispatches of all threads, which
 `max_steps` bounds and `RunResult.steps_taken` reports. It applies
-tampers between dispatches and appends each trace event as the
-JSON-ready record `emit_trace` writes (see `trace` for its keys), built
-from the records and memories `step` reports around each retired
-instruction and numbered by trace position.
+tampers between dispatches and appends each trace event as its JSON
+line (see `trace` for the format), which `trace.instruction_lines`
+renders from per-pc parts and the values `step` reports around each
+retired instruction, numbered by trace position.
 
 `machine.step` retires one instruction; how many one dispatch retires
 is the runner's rule, by mode:
@@ -122,8 +122,8 @@ class RandomSchedule:
 class RunResult:
     final_memory: dict[str, int]
     thread_statuses: list[tuple[str, str | None]]
-    violations: list[dict]             # the violation records of `trace`
-    trace: list[dict]
+    violations: list[str]              # the violation lines of `trace`
+    trace: list[str]                   # one encoded JSON line per event
     steps_taken: int
     truncated: bool
     header: dict
@@ -150,8 +150,10 @@ class _Runner:
     """Dispatch loop shared by scripted runs, random runs, and the
     debugger: counts arrivals and steps, applies tampers, steps threads
     by the mode's dispatch rule, records region entries into crowded
-    regions, and builds the trace. With `events` off (the debugger's) it
-    builds only the violation records, and gives them no `step` number."""
+    regions, and builds the trace, one line per event; the per-pc parts
+    of its instruction lines are built when a runner with events on is
+    made. With `events` off (the debugger's) it builds only the violation
+    lines, and gives them no `step` number."""
 
     def __init__(self, machine: MachineState, hooks: Hooks | None = None, events: bool = True):
         self.machine = machine
@@ -161,8 +163,13 @@ class _Runner:
         self.inside = machine.program.inside_range if machine.mode is ExecMode.GDB else None
         self.arrivals: dict[tuple[int, int], int] = {}
         self.step_count = 0
-        self.trace: list[dict] = []
-        self.violations: list[dict] = []
+        self.trace: list[str] = []
+        self.violations: list[str] = []
+        # The event format's owner, bound here: importing sched imports nothing new.
+        from . import trace as _format
+
+        self._format = _format
+        self._render = _format.instruction_lines(machine.program) if events else None
         self.clrex_on_switch = False
         self._prev_tid: int | None = None
 
@@ -184,14 +191,9 @@ class _Runner:
         t = m.threads[thread_id]
         if t.status != RUNNABLE:
             if self.events:
-                event = {
-                    "type": "event", "step": len(self.trace), "thread": thread_id, "pc": t.pc,
-                    "noop": True,
-                }
                 listing = m.program.listing
-                if t.pc < len(listing) and listing[t.pc][0] is not None:
-                    event["label"] = listing[t.pc][0]
-                self.trace.append(event)
+                label = listing[t.pc][0] if t.pc < len(listing) else None
+                self.trace.append(self._format.noop_line(len(self.trace), thread_id, t.pc, label))
             return None
         key = (thread_id, t.pc)
         arrival = self.arrivals[key] = self.arrivals.get(key, 0) + 1
@@ -224,46 +226,28 @@ class _Runner:
             crowded = crowded_regions(m.program, m.threads) if entered else ()
             for r in entered:
                 if r in crowded:
-                    event = {
-                        "type": "event", "thread": thread_id, "pc": after.pc,
-                        "label": m.program.regions[r].name, "violation": "mutual_exclusion",
-                    }
+                    line = self._format.violation_line(
+                        thread_id, after.pc, m.program.regions[r].name, len(self.trace) if self.events else None
+                    )
                     if self.events:
-                        event["step"] = len(self.trace)
-                        self.trace.append(event)
-                    self.violations.append(event)
+                        self.trace.append(line)
+                    self.violations.append(line)
         return outcome
 
     def _trace_step(self, thread_id: int, executed: list, edits: list[str] | None) -> None:
-        """Append one event per instruction of a dispatch's `executed` list,
-        with the tamper `edits` noted on the first."""
+        """Append the line of each instruction of a dispatch's `executed`
+        list, with the tamper `edits` noted on the first."""
         note = "; ".join(edits) if edits else None
-        m = self.machine
         trace = self.trace
-        prog = m.program
-        listing = prog.listing
-        instructions = prog.instructions
+        render = self._render
+        prog = self.machine.program
         for before, after, memory_before, memory_after in executed:
             pc = before.pc
-            label, instr = listing[pc]
-            event = {
-                "type": "event", "step": len(trace), "thread": thread_id, "pc": pc, "instr": instr
-            }
-            if label is not None:
-                event["label"] = label
-            if note is not None:
-                event["tamper"], note = note, None
-            if after.fault is not None:
-                event["fault"] = after.fault
-            rd = instructions[pc].dest()
-            # A faulting instruction stays at its pc and writes nothing; the
-            # atomic-step limit faults a thread after its instruction retired.
-            if rd is not None and after.pc != pc:
-                event["reg_writes"] = [[f"R{rd}", before.regs[rd], after.regs[rd]]]
+            mem = monitor = None
             if memory_after is not memory_before:
                 # A store bumps its word's version, so the list is never empty.
-                event["mem_writes"] = [
-                    [sym, old[0], new[0]]
+                mem = [
+                    (sym, old[0], new[0])
                     for sym, old, new in zip(prog.data_words, memory_before, memory_after)
                     if old != new
                 ]
@@ -271,8 +255,12 @@ class _Runner:
                 old_text = _monitor_text(prog.addr_sym, before)
                 new_text = _monitor_text(prog.addr_sym, after)
                 if new_text != old_text:
-                    event["monitor"] = [old_text, new_text]
-            trace.append(event)
+                    monitor = (old_text, new_text)
+            # A faulting instruction stays at its pc and writes nothing; the
+            # atomic-step limit faults a thread after its instruction retired.
+            regs = (before.regs, after.regs) if after.pc != pc else None
+            trace.append(render(pc, len(trace), thread_id, note, after.fault, regs, mem, monitor))
+            note = None
 
     def run_round_robin(self, max_steps: int) -> bool:
         """Step runnable threads ascending until everyone is done; returns

@@ -14,39 +14,80 @@ Event fields (empty ones are omitted):
     reg_writes=[[reg, old, new], ...], mem_writes=[[symbol, old, new], ...],
     monitor=[old, new], tamper, violation, fault, noop
 
-An event has no other form: the runner (`sched._Runner`) builds each
-one as this record for `RunResult.trace`, which `emit_trace` writes. A
-debugger session keeps none: its trace is its export's replay.
-
 Each record is one line of `json.dumps(record, sort_keys=True,
-separators=(",", ":"))`: ASCII-only, keys sorted. One encoder with those
-settings is built at import and serves every record, so emitting a
-trace does not build an encoder per record; the bytes are the same.
-Records are trees, so the encoder skips the circular-reference check.
+separators=(",", ":"))`: ASCII-only, keys sorted. An event has no other
+form than its line: the runner (`sched._Runner`) appends each one as a
+`str` to `RunResult.trace`, and `emit_trace` writes the header and joins
+them. As in NanoLog (Yang et al., USENIX ATC 2018), `instruction_lines`
+renders the static part of a pc's events (instr, label, pc and the
+written register) once, when a runner with events on is made, and per
+event formats only its dynamic values; string escaping is the encoder's
+`encode_basestring_ascii`. The encoder itself serves only the header and
+the rare no-op and violation records. A debugger session keeps no
+events: its trace is its export's replay.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 TRACE_FORMAT = 1
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
-if c_make_encoder is None:  # pragma: no cover - CPython builds ship the C encoder
-    _encode = _ENCODER.encode
-else:
-    # Positional: markers (None: no circular check), default, string
-    # encoder, indent, key and item separators, sort_keys, skipkeys,
-    # allow_nan -- what `_ENCODER.iterencode` passes for a one-shot encode.
-    _c_encode = c_make_encoder(
-        None, _ENCODER.default, encode_basestring_ascii, None, ":", ",", True, False, True
-    )
+_encode = _ENCODER.encode
 
-    def _encode(record: dict) -> str:
-        return "".join(_c_encode(record, 0))
+
+def instruction_lines(program):
+    """The renderer `line(pc, step, thread, tamper, fault, regs, mem,
+    monitor)` of `program`'s instruction events: `regs` is the thread's
+    (old, new) registers when the instruction retired, `mem` its [(symbol,
+    old, new)] word changes and `monitor` its (old, new) monitor texts;
+    any of the last five is None when the event has none."""
+    quote = encode_basestring_ascii
+    parts = []
+    for pc, (label, instr) in enumerate(program.listing):
+        rd = program.instructions[pc].dest()
+        parts.append((
+            '{"instr":' + quote(instr) + ("," if label is None else ',"label":' + quote(label) + ","),
+            f'"pc":{pc},',
+            rd, None if rd is None else f'"reg_writes":[["R{rd}",',
+        ))
+
+    def line(pc, step, thread, tamper, fault, regs, mem, monitor) -> str:
+        head, pc_part, rd, reg_head = parts[pc]
+        if fault is not None:
+            head = '{"fault":' + quote(fault) + "," + head[1:]  # "fault" sorts before "instr"
+        if mem is not None:
+            head += '"mem_writes":[' + ",".join(f"[{quote(s)},{old},{new}]" for s, old, new in mem) + "],"
+        if monitor is not None:
+            head += f'"monitor":[{quote(monitor[0])},{quote(monitor[1])}],'
+        head += pc_part
+        if reg_head is not None and regs is not None:
+            head += f"{reg_head}{regs[0][rd]},{regs[1][rd]}]],"
+        tamper = "" if tamper is None else f'"tamper":{quote(tamper)},'
+        return f'{head}"step":{step},{tamper}"thread":{thread},"type":"event"}}'
+
+    return line
+
+
+def noop_line(step: int, thread: int, pc: int, label: str | None) -> str:
+    """The line of a finished thread's dispatch."""
+    record = {"type": "event", "step": step, "thread": thread, "pc": pc, "noop": True}
+    if label is not None:
+        record["label"] = label
+    return _encode(record)
+
+
+def violation_line(thread: int, pc: int, region: str, step: int | None) -> str:
+    """The line of a thread's entry into a crowded region; a run without
+    events gives it no step."""
+    record = {"type": "event", "thread": thread, "pc": pc, "label": region, "violation": "mutual_exclusion"}
+    if step is not None:
+        record["step"] = step
+    return _encode(record)
 
 
 def emit_trace(run_result, destination: str | Path | None = None) -> bytes:
@@ -57,7 +98,7 @@ def emit_trace(run_result, destination: str | Path | None = None) -> bytes:
 
     header = {"type": "header", "format": TRACE_FORMAT, "tool": f"spinsim {__version__}"}
     header.update(run_result.header)
-    data = "\n".join([_encode(header), *map(_encode, run_result.trace), ""]).encode("utf-8")
+    data = "\n".join([_encode(header), *run_result.trace, ""]).encode("utf-8")
     if destination is not None:
         Path(destination).write_bytes(data)
     return data

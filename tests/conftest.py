@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import spinsim
 from spinsim import parse_program
+
+
+def decode_events(lines: list[str]) -> list[dict]:
+    """The records of trace lines (`RunResult.trace`, `RunResult.violations`)."""
+    return [json.loads(line) for line in lines]
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import time
 
+from conftest import decode_events
 from test_properties import monitor_soundness_sweep
 
 from spinsim.isa import strictly_inside
@@ -54,7 +55,7 @@ def test_acceptance_2_attack_replay(load_corpus, corpus_file):
         _, res = _run_corpus_scenario(load_corpus, corpus_file, "regtamper_attack.scn")
         assert res.final_memory["accountBalance"] == 110
         assert len(res.violations) == 1
-        assert res.violations[0]["violation"] == "mutual_exclusion"
+        assert decode_events(res.violations)[0]["violation"] == "mutual_exclusion"
 
 
 def test_acceptance_3_monitor_soundness():
@@ -131,12 +132,12 @@ def test_acceptance_6_gdb_stepping_cycle(load_corpus):
             before = len(runner.trace)
             runner.dispatch(1)
             stops.append(machine.threads[1].pc)
-            groups.append([e["pc"] for e in runner.trace[before:]])
+            groups.append([e["pc"] for e in decode_events(runner.trace[before:])])
             assert strictly_inside(program.exclusive_ranges(), machine.threads[1].pc) is None
         assert stops == [1, 2, 0] * 10
         # trace shows the exclusive group retiring atomically each cycle
         assert groups == [[0], [1], [2, 3, 4]] * 10
-        assert all(not e.get("noop") for e in runner.trace[trace_start:])
+        assert all(not e.get("noop") for e in decode_events(runner.trace[trace_start:]))
 
 
 def test_acceptance_7_lint_conformance(load_corpus, corpus_file):

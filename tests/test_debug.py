@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import decode_events
+
 import spinsim
 from spinsim.debug import HELP, DebugSession, run_repl
 from spinsim.isa import parse_program
@@ -223,7 +225,7 @@ def test_exported_sessions_replay_exactly(name, mode, threads, commands, tmp_pat
     assert len(result.violations) == len(session.runner.violations)
     assert check_expectations(scenario, result) == []
     assert emit_trace(result) == trace_path.read_bytes()
-    fired = [e["tamper"] for e in result.trace if "tamper" in e]
+    fired = [e["tamper"] for e in decode_events(result.trace) if "tamper" in e]
     assert sum(len(note.split("; ")) for note in fired) == len(session.recorded_tampers)
 
 
@@ -244,7 +246,7 @@ def test_export_refuses_an_edit_the_replay_never_fires(load_corpus, tmp_path):
     drive(session, ["thread 1", "step"])
     assert session.handle(f"export {tmp_path}/x.scn") == f"session exported to {tmp_path}/x.scn"
     result = run_scenario(load_scenario(tmp_path / "x.scn"), load_corpus("lock_basic.s"))
-    assert [e["tamper"] for e in result.trace if "tamper" in e] == ["R2 = 5 (0 -> 5)"]
+    assert [e["tamper"] for e in decode_events(result.trace) if "tamper" in e] == ["R2 = 5 (0 -> 5)"]
 
 
 def test_export_records_later_occurrences(load_corpus, tmp_path):
@@ -318,6 +320,24 @@ def test_commands_refuse_extra_words(load_corpus, tmp_path, command):
     assert session.focus == 0 and session.dispatch_log == [] and session.breakpoints == set()
     assert not session.done
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "set scheduler-locking junk off", "set scheduler-lockingfoo step", "set scheduler-locking",
+        "set scheduler-locking step extra",
+    ],
+)
+def test_scheduler_locking_takes_exactly_one_value(load_corpus, command):
+    """Only `set scheduler-locking step|off` switches locking; any other
+    line that starts with it gets the refusal and changes nothing."""
+    session = DebugSession(load_corpus("lock_regcmp.s"), 2, ExecMode.GDB)
+    for value in ("off", "step"):
+        assert session.handle(f"set scheduler-locking {value}") == f"scheduler-locking {value}"
+        assert session.handle(command) == "scheduler-locking takes 'step' or 'off'"
+        assert session.scheduler_locking == value
+    assert session.dispatch_log == [] and session.recorded_tampers == []
 
 
 def test_trace_command_keeps_its_usage_reply(load_corpus, tmp_path):

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import decode_events
+
 from spinsim import sched
 from spinsim.debug import DebugSession
 from spinsim.isa import parse_program
@@ -81,7 +83,7 @@ def test_steps_of_finished_threads_are_recorded_noops(load_corpus):
     p = load_corpus("unlocked_inc.s")
     m = init_machine(p, 1, ExecMode.HW)
     res = run_schedule(m, ScheduleScript(entries=[(0, 10)], halt=True))
-    noops = [e for e in res.trace if e.get("noop")]
+    noops = [e for e in decode_events(res.trace) if e.get("noop")]
     assert len(noops) == 6  # 4 instructions, then 6 dead steps
     assert res.final_memory["accountBalance"] == 105
 
@@ -143,7 +145,7 @@ def test_entries_into_crowded_regions_are_reported_in_region_order():
         "    NOP\na:\n    NOP\n    NOP\nc:\n    NOP\nd:\n    NOP\n"
     )
     res = run_schedule(init_machine(p, 2, ExecMode.HW), ScheduleScript([(0, 1), (1, 1)], halt=True))
-    assert [(v["thread"], v["pc"], v["label"]) for v in res.violations] == [
+    assert [(v["thread"], v["pc"], v["label"]) for v in decode_events(res.violations)] == [
         (1, 1, "outer"),
         (1, 1, "inner"),
     ]
@@ -324,7 +326,7 @@ def test_explore_violation_witness_replays(load_corpus):
     witness = min(rep.mutual_exclusion_violations, key=len)
     m = init_machine(p, 2, ExecMode.HW)
     res = run_schedule(m, witness_script(witness))
-    assert any(v["violation"] == "mutual_exclusion" for v in res.violations)
+    assert any(v["violation"] == "mutual_exclusion" for v in decode_events(res.violations))
 
 
 def test_explore_truncation_flag(load_corpus):

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinsim import trace
+from conftest import decode_events
+from test_sched import straight_line_programs
+
+from spinsim import sched, trace
 from spinsim.debug import DebugSession
 from spinsim.isa import parse_program
 from spinsim.machine import ExecMode, init_machine
 from spinsim.scenario import load_scenario, run_scenario
-from spinsim.sched import ScheduleScript, run_random, run_schedule
-from spinsim.tamper import TamperSpec
+from spinsim.sched import RunResult, ScheduleScript, _monitor_text, _Runner, explore, run_random, run_schedule
+from spinsim.tamper import TamperError, TamperSpec, compile_tampers, location_for_pc
 from spinsim.trace import emit_trace, summarize
 
 
@@ -41,12 +44,13 @@ def test_trace_stream_shape(load_corpus, corpus_file, tmp_path):
 
 def test_attack_trace_has_two_tampers_and_one_violation(load_corpus, corpus_file):
     res = attack_result(load_corpus, corpus_file)
-    tamper_events = [e for e in res.trace if "tamper" in e]
+    events = decode_events(res.trace)
+    tamper_events = [e for e in events if "tamper" in e]
     assert len(tamper_events) == 2
     assert all(e["thread"] == 1 for e in tamper_events)
     assert "R7 += 1" in tamper_events[0]["tamper"]
     assert "R7 = 0" in tamper_events[1]["tamper"]
-    violation_events = [e for e in res.trace if "violation" in e]
+    violation_events = [e for e in events if "violation" in e]
     assert len(violation_events) == 1
     assert violation_events[0]["violation"] == "mutual_exclusion"
 
@@ -69,7 +73,7 @@ def test_memory_write_deltas_conserve(load_corpus, corpus_file):
     final minus initial."""
     res = attack_result(load_corpus, corpus_file)
     delta = 0
-    for event in res.trace:
+    for event in decode_events(res.trace):
         for sym, old, new in event.get("mem_writes", []):
             if sym == "accountBalance":
                 delta += new - old
@@ -101,7 +105,7 @@ def test_summarize_lists_faults(load_corpus):
 def test_events_name_mapped_symbols(load_corpus, corpus_file):
     res = attack_result(load_corpus, corpus_file)
     symbols = {"lockVar", "accountBalance"}
-    for event in res.trace:
+    for event in decode_events(res.trace):
         for sym, _, _ in event.get("mem_writes", []):
             assert sym in symbols
 
@@ -133,15 +137,24 @@ def test_trace_records_keep_the_documented_format(load_corpus, corpus_file, tmp_
 
     assert sum(len(res.violations) for res in results) >= 2
     for res in results:
-        lines = [json.loads(line) for line in emit_trace(res).splitlines()]
-        assert set(lines[0]) == _HEADER_KEYS
+        lines = emit_trace(res).decode().splitlines()
+        assert set(json.loads(lines[0])) == _HEADER_KEYS
         assert lines[1:] == res.trace
-        for event in res.trace:
+        events = decode_events(res.trace)
+        for event in events:
             assert event.keys() <= _EVENT_KEYS
             assert all(value not in (None, [], "") for value in event.values())
-        violation_records = [e for e in res.trace if "violation" in e]
-        assert len(res.violations) == len(violation_records)
-        assert all(v is e for v, e in zip(res.violations, violation_records))
+        violation_lines = [line for line, e in zip(res.trace, events) if "violation" in e]
+        assert len(res.violations) == len(violation_lines)
+        assert all(v is e for v, e in zip(res.violations, violation_lines))
+
+
+# The sha256 of each loop body's trace, recorded before an event was its
+# encoded line.
+_ATOMIC_STEP_LIMIT_SHA256 = {
+    "    B loop\n": "d88bce802201e398cfdbe7ea87ff4d7463765e72697f8c53a49e9a883f463aea",
+    "    ADD R2, R2, #1\n    B loop\n": "6de92142f8d28cd6b5282eb82c483d1fe757c108fc06e371f48c1f0ab48244ef",
+}
 
 
 @pytest.mark.parametrize(
@@ -155,19 +168,21 @@ def test_trace_records_keep_the_documented_format(load_corpus, corpus_file, tmp_
 def test_atomic_step_limit_fault_is_in_the_trace(body, reg_writes, r2):
     """A GDB step stuck in an exclusive range faults at the limit, and
     the event of the instruction that reached it names the fault and
-    keeps that instruction's register write."""
+    keeps that instruction's register write; the trace bytes are pinned."""
     p = parse_program(".data x 0\n    LDR R1, =x\n    LDREX R2, [R1]\nloop:\n" + body
                       + "    STREX R3, R2, [R1]\n")
     m = init_machine(p, 1, ExecMode.GDB)
     res = run_schedule(m, ScheduleScript(entries=[(0, 2)], halt=True))
     assert len(res.trace) == 4097  # the LDR, then 4,096 instructions in one step
-    assert [e for e in res.trace if "fault" in e] == [res.trace[-1]]
-    event = res.trace[-1]
+    events = decode_events(res.trace)
+    assert [e for e in events if "fault" in e] == [events[-1]]
+    event = events[-1]
     assert event["fault"] == "atomic-step limit"
     assert event["monitor"] == ["x:v0", "open"]
     assert event.get("reg_writes") == reg_writes
     assert res.thread_statuses == [("faulted", "atomic-step limit")]
     assert m.threads[0].regs[2] == r2
+    assert hashlib.sha256(emit_trace(res)).hexdigest() == _ATOMIC_STEP_LIMIT_SHA256[body]
 
 
 # Two locks taken in turn: two LDREX..STREX ranges, which no corpus
@@ -215,7 +230,9 @@ unlock:
 # random seed); the program is a corpus file name or `_TWO_LOCKS`. The
 # sha256 of each trace was recorded on the code before trace events were
 # built outside the machine (the two-lock run: before the trace encoder
-# and the GDB stop table were prebuilt), so they pin its bytes.
+# and the GDB stop table were prebuilt; the no-LL-branch run, the one
+# with a violation event: before an event was its encoded line), so they
+# pin its bytes.
 _PINNED_RUNS = {
     "bus_error_fault": (
         "lock_basic.s", 2, ExecMode.HW, [(0, 12), (1, 4)],
@@ -238,6 +255,7 @@ _PINNED_RUNS = {
     "gdb_random_8t_seed_5": ("lock_regcmp.s", 8, ExecMode.GDB, None, None, False, 100_000, 5),
     "gdb_random_8t_seed_77": ("lock_regcmp.s", 8, ExecMode.GDB, None, None, False, 100_000, 77),
     "gdb_random_two_ranges_4t_seed_3": (_TWO_LOCKS, 4, ExecMode.GDB, None, None, False, 100_000, 3),
+    "hw_random_no_ll_branch_3t_seed_1": ("lock_no_ll_branch.s", 3, ExecMode.HW, None, None, False, 100_000, 1),
 }
 
 _PINNED_SHA256 = {
@@ -247,6 +265,7 @@ _PINNED_SHA256 = {
     "gdb_random_8t_seed_5": "ad53e6f0327968bec53db374608282c961188a1d83c8d4cc33ea19be38600930",
     "gdb_random_8t_seed_77": "fc08cdad23404faed40365ec3568d6d2fd6124e606da5697bd1e01235d16e251",
     "gdb_random_two_ranges_4t_seed_3": "25d29e28c84d6b38b30b3179871beff05a9c0a1779776f229caff7b8a51498ce",
+    "hw_random_no_ll_branch_3t_seed_1": "e4f56c0905164569f01624524a85b0f60291972f0a1eb299a92ea8b157da50ac",
     "hw_tamper_inside_exclusive_range": "4637af0c2239d19cea89bb18eec599c7cb59122d5f398f35f9761493846b463d",
     "plain_str_two_threads": "68bbda15312b53626eab0da717762fc75955fbfa24a7d75bcf63476b7d915a69",
 }
@@ -339,12 +358,177 @@ def test_encoder_matches_json_dumps(record):
 
 
 def test_fallback_encoder_gives_the_same_trace_bytes(load_corpus, corpus_file, monkeypatch):
-    """Without the C encoder `_encode` is `_ENCODER.encode` on the
-    pure-Python path; a corpus run's trace must not change."""
+    """Without the C encoder `_encode`, which encodes the header and the
+    rare records, takes the pure-Python path; a corpus run's trace must
+    not change."""
     res = attack_result(load_corpus, corpus_file)
     want = emit_trace(res)
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    monkeypatch.setattr(trace, "_encode", trace._ENCODER.encode)
     assert emit_trace(res) == want
     random_run = run_random(init_machine(load_corpus("lock_regcmp.s"), 8, ExecMode.GDB), seed=5)
     assert hashlib.sha256(emit_trace(random_run)).hexdigest() == _PINNED_SHA256["gdb_random_8t_seed_5"]
+
+
+# --- Differential check of the event renderer against the record builders ---
+
+
+class _RecordRunner(_Runner):
+    """The runner with the event records it built before an event was its
+    line: `_trace_step` and the no-op and violation records of `dispatch`.
+    It serves as its own format, so `trace` and `violations` hold records."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._format = self
+
+    def noop_line(self, step, thread_id, pc, label):
+        event = {"type": "event", "step": len(self.trace), "thread": thread_id, "pc": pc, "noop": True}
+        listing = self.machine.program.listing
+        if pc < len(listing) and listing[pc][0] is not None:
+            event["label"] = listing[pc][0]
+        return event
+
+    def violation_line(self, thread_id, pc, region, step):
+        event = {"type": "event", "thread": thread_id, "pc": pc, "label": region, "violation": "mutual_exclusion"}
+        if self.events:
+            event["step"] = len(self.trace)
+        return event
+
+    def _trace_step(self, thread_id, executed, edits):
+        note = "; ".join(edits) if edits else None
+        m = self.machine
+        trace = self.trace
+        prog = m.program
+        listing = prog.listing
+        instructions = prog.instructions
+        for before, after, memory_before, memory_after in executed:
+            pc = before.pc
+            label, instr = listing[pc]
+            event = {
+                "type": "event", "step": len(trace), "thread": thread_id, "pc": pc, "instr": instr
+            }
+            if label is not None:
+                event["label"] = label
+            if note is not None:
+                event["tamper"], note = note, None
+            if after.fault is not None:
+                event["fault"] = after.fault
+            rd = instructions[pc].dest()
+            if rd is not None and after.pc != pc:
+                event["reg_writes"] = [[f"R{rd}", before.regs[rd], after.regs[rd]]]
+            if memory_after is not memory_before:
+                event["mem_writes"] = [
+                    [sym, old[0], new[0]]
+                    for sym, old, new in zip(prog.data_words, memory_before, memory_after)
+                    if old != new
+                ]
+            if after.mon_granule != before.mon_granule or after.mon_version != before.mon_version:
+                old_text = _monitor_text(prog.addr_sym, before)
+                new_text = _monitor_text(prog.addr_sym, after)
+                if new_text != old_text:
+                    event["monitor"] = [old_text, new_text]
+            trace.append(event)
+
+
+def _dumps(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def assert_lines_match_records(run) -> RunResult:
+    """`run(runner_class)` makes one run with `sched._Runner` bound to
+    that class. Every line of the run equals the encoded record of the
+    reference run and encodes its own decoding unchanged, and with events
+    on the violation lines are the trace's own. Returns the run."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sched, "_Runner", _RecordRunner)
+        want = run(_RecordRunner)
+    got = run(_Runner)
+    assert got.trace == [_dumps(event) for event in want.trace]
+    assert got.violations == [_dumps(event) for event in want.violations]
+    assert all(_dumps(json.loads(line)) == line for line in got.trace + got.violations)
+    if got.trace:  # events on: the violation lines are the trace's own
+        violation_lines = [line for line in got.trace if "violation" in json.loads(line)]
+        assert len(violation_lines) == len(got.violations)
+        assert all(v is line for v, line in zip(got.violations, violation_lines))
+    assert (got.final_memory, got.steps_taken) == (want.final_memory, want.steps_taken)
+    return got
+
+
+_TAMPER_ACTIONS = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 9)),
+    st.tuples(st.just("add"), st.integers(-2, 2)),
+    st.tuples(st.just("flip_bit"), st.integers(0, 31)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    program=straight_line_programs(),
+    threads=st.integers(1, 3),
+    mode=st.sampled_from(list(ExecMode)),
+    schedule=st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.tuples(
+            st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)), max_size=8),
+            st.booleans(),
+            st.booleans(),
+        ),
+    ),
+    tamper=st.none() | st.tuples(
+        st.integers(0, 2), st.integers(0, 30), st.sampled_from([1, 4, 6, 10, 11]), _TAMPER_ACTIONS,
+        st.sampled_from([1, 2, "every"]),
+    ),
+)
+def test_lines_match_records_on_random_programs(program, threads, mode, schedule, tamper):
+    """Random runs and scripts (with `clrex_on_switch` and halt) in both
+    modes, with and without a tamper: a tampered address register makes
+    bus-error faults, and scripts dispatch finished threads."""
+    tampers = None
+    if tamper is not None:
+        tid, pc, register, action, occurrence = tamper
+        location = location_for_pc(program, pc % len(program.instructions))
+        spec = TamperSpec(tid % threads, location, register, action, occurrence)
+        try:
+            compile_tampers([spec], init_machine(program, threads, mode))
+            tampers = [spec]
+        except TamperError:  # strictly inside an exclusive range in GDB mode
+            pass
+
+    def run(runner_class):
+        machine = init_machine(program, threads, mode)
+        if isinstance(schedule, int):
+            return run_random(machine, seed=schedule, max_steps=2_000, tampers=tampers)
+        entries, clrex, halt = schedule
+        script = ScheduleScript([(tid % threads, n) for tid, n in entries], clrex, halt)
+        return run_schedule(machine, script, tampers=tampers, max_steps=2_000)
+
+    assert_lines_match_records(run)
+
+
+@pytest.mark.parametrize("scenario", ["normal3.scn", "random_round.scn", "regtamper_attack.scn"])
+def test_lines_match_records_on_corpus_scenarios(scenario, load_corpus, corpus_file):
+    program = load_corpus("lock_regcmp.s")
+    res = assert_lines_match_records(lambda _: run_scenario(load_scenario(corpus_file(scenario)), program))
+    assert len(res.violations) == (scenario == "regtamper_attack.scn")
+
+
+def test_lines_match_records_at_the_atomic_step_limit_and_without_events(load_corpus):
+    """The atomic-step-limit fault, no-ops, and violation lines of a runner
+    with events off (the debugger's), which carry no step."""
+    p = parse_program(".data x 0\n    LDR R1, =x\n    LDREX R2, [R1]\nloop:\n    ADD R2, R2, #1\n"
+                      "    B loop\n    STREX R3, R2, [R1]\n")
+    res = assert_lines_match_records(lambda _: run_schedule(
+        init_machine(p, 1, ExecMode.GDB), ScheduleScript(entries=[(0, 4)], halt=True)))
+    assert ["fault" in e or "noop" in e for e in decode_events(res.trace[-3:])] == [True, True, True]
+
+    program = load_corpus("lock_no_ll_branch.s")
+    witness = min(explore(program, 2).mutual_exclusion_violations, key=len)
+
+    def run(runner_class):
+        runner = runner_class(init_machine(program, 2, ExecMode.HW), events=False)
+        for tid in witness:
+            runner.dispatch(tid)
+        return runner.result("script")
+
+    res = assert_lines_match_records(run)
+    assert res.trace == [] and [json.loads(v).get("step") for v in res.violations] == [None]
