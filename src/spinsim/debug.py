@@ -31,6 +31,7 @@ from .tamper import (
     compile_tampers,
     location_for_pc,
     resolve_location,
+    stop_point,
 )
 from .trace import emit_trace, summarize
 
@@ -51,7 +52,9 @@ HELP = f"""commands:
   info registers        show the focused thread's registers
   info threads          show every thread's position
   x <symbol>            show a data word
-  break <label>         set a breakpoint at a label
+  break <label>         set a breakpoint at a label (refused past the last
+                        instruction and, in gdb mode, strictly inside an
+                        LDREX..STREX range, where no thread stops)
   continue              run round-robin until a breakpoint or completion
   trace on <path>       write the session trace to <path> on quit
   export <path>         save the session as a scenario file (refused while
@@ -250,6 +253,10 @@ class DebugSession:
         label = args[0]
         if label not in self.program.labels:
             return f"no label {label!r}"
+        try:  # a thread never stops past the last instruction, nor in gdb mode inside a range
+            stop_point(label, self.program, self.machine.mode, "breakpoint")
+        except TamperError as e:
+            return f"refused: {e}"
         self.breakpoints.add(label)
         return f"breakpoint at {label} (pc {self.program.labels[label]})"
 

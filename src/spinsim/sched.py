@@ -10,10 +10,9 @@ Runs dispatch through `_Runner`. It keeps the one arrival count,
 which scenario hooks and debugger edits alike match their occurrence
 against, and `step_count`, the runnable dispatches of all threads, which
 `max_steps` bounds and `RunResult.steps_taken` reports. It applies
-tampers between dispatches and appends each trace event as its JSON
-line (see `trace` for the format), which `trace.instruction_lines`
-renders from per-pc parts and the values `step` reports around each
-retired instruction, numbered by trace position.
+tampers between dispatches, orders the trace's events and numbers them
+by trace position; `trace`, the format's one owner, renders each line,
+an instruction's from its `StepOutcome.executed` entry.
 
 `machine.step` retires one instruction; how many one dispatch retires
 is the runner's rule, by mode:
@@ -40,8 +39,9 @@ portable): pick = runnable[next_output % len(runnable)].
 
 The explorer enumerates all interleavings of a program depth-first in
 HW mode, memoizing on the full machine state (registers, flags, PCs,
-monitors, memory, and version counters; versions are semantic state
-because they decide reservation validity). It keys a state by a short
+monitors, memory, and version counters; a held monitor's version decides
+whether its STREX succeeds, but an open monitor keeps a stale version
+that no rule reads and that still splits states). It keys a state by a short
 tuple of ints, in the manner of SPIN's "collapse" compression (Holzmann,
 State Compression in SPIN, 1997): each thread record and each memory
 tuple is interned once per exploration, and the key holds their ids.
@@ -63,6 +63,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import islice
 
+from . import trace
 from .isa import Program
 from .machine import (
     FAULTED,
@@ -129,12 +130,6 @@ class RunResult:
     header: dict
 
 
-def _monitor_text(addr_sym: dict[int, str], t: ThreadState) -> str:
-    if t.mon_granule is None:
-        return "open"
-    return f"{addr_sym[t.mon_granule]}:v{t.mon_version}"
-
-
 def crowded_regions(program: Program, threads: list[ThreadState]) -> set[int]:
     """The indices of the regions that two or more runnable threads are
     inside: the one mutual-exclusion rule."""
@@ -150,10 +145,9 @@ class _Runner:
     """Dispatch loop shared by scripted runs, random runs, and the
     debugger: counts arrivals and steps, applies tampers, steps threads
     by the mode's dispatch rule, records region entries into crowded
-    regions, and builds the trace, one line per event; the per-pc parts
-    of its instruction lines are built when a runner with events on is
-    made. With `events` off (the debugger's) it builds only the violation
-    lines, and gives them no `step` number."""
+    regions, and hands each event to `trace`, which renders its line.
+    With `events` off (the debugger's) it has only the violation lines
+    rendered, and gives them no `step` number."""
 
     def __init__(self, machine: MachineState, hooks: Hooks | None = None, events: bool = True):
         self.machine = machine
@@ -165,11 +159,7 @@ class _Runner:
         self.step_count = 0
         self.trace: list[str] = []
         self.violations: list[str] = []
-        # The event format's owner, bound here: importing sched imports nothing new.
-        from . import trace as _format
-
-        self._format = _format
-        self._render = _format.instruction_lines(machine.program) if events else None
+        self._render = trace.instruction_lines(machine.program) if events else None
         self.clrex_on_switch = False
         self._prev_tid: int | None = None
 
@@ -191,9 +181,7 @@ class _Runner:
         t = m.threads[thread_id]
         if t.status != RUNNABLE:
             if self.events:
-                listing = m.program.listing
-                label = listing[t.pc][0] if t.pc < len(listing) else None
-                self.trace.append(self._format.noop_line(len(self.trace), thread_id, t.pc, label))
+                self.trace.append(trace.noop_line(m.program, len(self.trace), thread_id, t.pc))
             return None
         key = (thread_id, t.pc)
         arrival = self.arrivals[key] = self.arrivals.get(key, 0) + 1
@@ -219,48 +207,23 @@ class _Runner:
                 after = m.threads[thread_id]
             outcome = StepOutcome(executed, after.status)
         if self.events:
-            self._trace_step(thread_id, outcome.executed, edits)
+            note = "; ".join(edits) if edits else None  # on the first instruction only
+            for entry in outcome.executed:
+                self.trace.append(self._render(entry, len(self.trace), thread_id, note))
+                note = None
         region_at = m.program.region_at
         if region_at[after.pc] and after.status == RUNNABLE:
             entered = [r for r in region_at[after.pc] if r not in region_at[t.pc]]
             crowded = crowded_regions(m.program, m.threads) if entered else ()
             for r in entered:
                 if r in crowded:
-                    line = self._format.violation_line(
+                    line = trace.violation_line(
                         thread_id, after.pc, m.program.regions[r].name, len(self.trace) if self.events else None
                     )
                     if self.events:
                         self.trace.append(line)
                     self.violations.append(line)
         return outcome
-
-    def _trace_step(self, thread_id: int, executed: list, edits: list[str] | None) -> None:
-        """Append the line of each instruction of a dispatch's `executed`
-        list, with the tamper `edits` noted on the first."""
-        note = "; ".join(edits) if edits else None
-        trace = self.trace
-        render = self._render
-        prog = self.machine.program
-        for before, after, memory_before, memory_after in executed:
-            pc = before.pc
-            mem = monitor = None
-            if memory_after is not memory_before:
-                # A store bumps its word's version, so the list is never empty.
-                mem = [
-                    (sym, old[0], new[0])
-                    for sym, old, new in zip(prog.data_words, memory_before, memory_after)
-                    if old != new
-                ]
-            if after.mon_granule != before.mon_granule or after.mon_version != before.mon_version:
-                old_text = _monitor_text(prog.addr_sym, before)
-                new_text = _monitor_text(prog.addr_sym, after)
-                if new_text != old_text:
-                    monitor = (old_text, new_text)
-            # A faulting instruction stays at its pc and writes nothing; the
-            # atomic-step limit faults a thread after its instruction retired.
-            regs = (before.regs, after.regs) if after.pc != pc else None
-            trace.append(render(pc, len(trace), thread_id, note, after.fault, regs, mem, monitor))
-            note = None
 
     def run_round_robin(self, max_steps: int) -> bool:
         """Step runnable threads ascending until everyone is done; returns

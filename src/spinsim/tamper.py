@@ -110,25 +110,29 @@ def _validate(spec: TamperSpec, thread_count: int) -> None:
         raise TamperError(f"occurrence must be >= 1 or 'every', got {shown}")
 
 
+def stop_point(location: str, program: Program, mode: ExecMode, what: str = "tamper") -> int:
+    """The pc of `location`, for a `what` that fires when a thread stops
+    there: an instruction's pc, and in GDB mode not strictly inside an
+    LDREX..STREX range (the error message names the range)."""
+    pc = resolve_location(location, program)
+    inside = program.inside_range[pc] if mode is ExecMode.GDB else None
+    if inside is not None:
+        l, s = inside
+        raise TamperError(
+            f"{what} at {location!r} (pc {pc}) lies strictly inside "
+            f"the exclusive range [{l}, {s}]; in gdb mode only the range "
+            f"entry (pc {l}) is a legal stop point"
+        )
+    return pc
+
+
 def compile_tampers(specs: list[TamperSpec], machine: MachineState) -> Hooks:
     """Check every spec against the machine's program, mode and thread
-    count, and resolve its location to a PC index. Besides the spec's own
-    fields, this enforces the stop-point restriction: in GDB mode no hook
-    may lie strictly inside an LDREX..STREX range (the error message
-    names the range)."""
-    program = machine.program
+    count, and resolve its location to a stop point's PC index."""
     hooks: Hooks = {}
     for spec in specs:
         _validate(spec, len(machine.threads))
-        pc = resolve_location(spec.location, program)
-        inside = program.inside_range[pc] if machine.mode is ExecMode.GDB else None
-        if inside is not None:
-            l, s = inside
-            raise TamperError(
-                f"tamper at {spec.location!r} (pc {pc}) lies strictly inside "
-                f"the exclusive range [{l}, {s}]; in gdb mode only the range "
-                f"entry (pc {l}) is a legal stop point"
-            )
+        pc = stop_point(spec.location, machine.program, machine.mode)
         hooks.setdefault((spec.thread_id, pc), []).append(spec)
     return hooks
 

@@ -15,13 +15,15 @@ Event fields (empty ones are omitted):
     monitor=[old, new], tamper, violation, fault, noop
 
 Each record is one line of `json.dumps(record, sort_keys=True,
-separators=(",", ":"))`: ASCII-only, keys sorted. An event has no other
-form than its line: the runner (`sched._Runner`) appends each one as a
-`str` to `RunResult.trace`, and `emit_trace` writes the header and joins
-them. As in NanoLog (Yang et al., USENIX ATC 2018), `instruction_lines`
-renders the static part of a pc's events (instr, label, pc and the
-written register) once, when a runner with events on is made, and per
-event formats only its dynamic values; string escaping is the encoder's
+separators=(",", ":"))`: ASCII-only, keys sorted. This module is the
+format's one owner: the runner (`sched._Runner`) hands it each event's
+values, `StepOutcome.executed` entries as `step` reports them, and
+appends the line it renders, a `str`, to `RunResult.trace`;
+`emit_trace` writes the header and joins them. As in NanoLog (Yang et
+al., USENIX ATC 2018), `instruction_lines` renders the static part of
+a pc's events (instr, label, pc and the written register) once, when a
+runner with events on is made, and per event derives and formats only
+its dynamic values; string escaping is the encoder's
 `encode_basestring_ascii`. The encoder itself serves only the header and
 the rare no-op and violation records. A debugger session keeps no
 events: its trace is its export's replay.
@@ -41,12 +43,17 @@ _encode = _ENCODER.encode
 
 
 def instruction_lines(program):
-    """The renderer `line(pc, step, thread, tamper, fault, regs, mem,
-    monitor)` of `program`'s instruction events: `regs` is the thread's
-    (old, new) registers when the instruction retired, `mem` its [(symbol,
-    old, new)] word changes and `monitor` its (old, new) monitor texts;
-    any of the last five is None when the event has none."""
+    """The renderer `line(entry, step, thread, tamper)` of `program`'s
+    instruction events. `entry` is one `StepOutcome.executed` tuple,
+    (record before, record after, memory before, memory after), from
+    which it derives pc, fault, the register write (none when the
+    instruction stays at its pc: a fault writes nothing, and the
+    atomic-step limit faults a thread after its instruction retired),
+    the memory writes and the monitor change; `tamper` is the note of
+    the edits made before the instruction, or None."""
     quote = encode_basestring_ascii
+    words = program.data_words
+    addr_sym = program.addr_sym
     parts = []
     for pc, (label, instr) in enumerate(program.listing):
         rd = program.instructions[pc].dest()
@@ -56,28 +63,41 @@ def instruction_lines(program):
             rd, None if rd is None else f'"reg_writes":[["R{rd}",',
         ))
 
-    def line(pc, step, thread, tamper, fault, regs, mem, monitor) -> str:
+    def monitor(t) -> str:
+        return "open" if t.mon_granule is None else f"{addr_sym[t.mon_granule]}:v{t.mon_version}"
+
+    def line(entry, step, thread, tamper) -> str:
+        before, after, memory_before, memory_after = entry
+        pc = before.pc
         head, pc_part, rd, reg_head = parts[pc]
-        if fault is not None:
-            head = '{"fault":' + quote(fault) + "," + head[1:]  # "fault" sorts before "instr"
-        if mem is not None:
-            head += '"mem_writes":[' + ",".join(f"[{quote(s)},{old},{new}]" for s, old, new in mem) + "],"
-        if monitor is not None:
-            head += f'"monitor":[{quote(monitor[0])},{quote(monitor[1])}],'
+        if after.fault is not None:
+            head = '{"fault":' + quote(after.fault) + "," + head[1:]  # "fault" sorts before "instr"
+        if memory_after is not memory_before:
+            # A store bumps its word's version, so the list is never empty.
+            head += '"mem_writes":[' + ",".join(
+                f"[{quote(s)},{old[0]},{new[0]}]"
+                for s, old, new in zip(words, memory_before, memory_after) if old != new
+            ) + "],"
+        if after.mon_granule != before.mon_granule or after.mon_version != before.mon_version:
+            old, new = monitor(before), monitor(after)
+            if old != new:
+                head += f'"monitor":[{quote(old)},{quote(new)}],'
         head += pc_part
-        if reg_head is not None and regs is not None:
-            head += f"{reg_head}{regs[0][rd]},{regs[1][rd]}]],"
+        if reg_head is not None and after.pc != pc:
+            head += f"{reg_head}{before.regs[rd]},{after.regs[rd]}]],"
         tamper = "" if tamper is None else f'"tamper":{quote(tamper)},'
         return f'{head}"step":{step},{tamper}"thread":{thread},"type":"event"}}'
 
     return line
 
 
-def noop_line(step: int, thread: int, pc: int, label: str | None) -> str:
-    """The line of a finished thread's dispatch."""
+def noop_line(program, step: int, thread: int, pc: int) -> str:
+    """The line of a finished thread's dispatch, labelled as the
+    program's listing labels `pc` (an exited thread's pc is past it)."""
     record = {"type": "event", "step": step, "thread": thread, "pc": pc, "noop": True}
-    if label is not None:
-        record["label"] = label
+    listing = program.listing
+    if pc < len(listing) and listing[pc][0] is not None:
+        record["label"] = listing[pc][0]
     return _encode(record)
 
 

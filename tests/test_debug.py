@@ -279,6 +279,40 @@ def test_breakpoints_and_continue(load_corpus):
     assert session.machine.threads[session.focus].pc == 9
 
 
+_LABEL_PAST_END = ".data x 0\nstart:\n    LDR R1, =x\n    MOV R2, #1\n    STR R2, [R1]\ndone:\n"
+_LABEL_IN_RANGE = (".data x 0\n    LDR R1, =x\nll:\n    LDREX R2, [R1]\ninner:\n    ADD R2, R2, #1\n"
+                   "    STREX R3, R2, [R1]\n")
+
+
+@pytest.mark.parametrize("mode", list(ExecMode))
+def test_break_refuses_a_label_past_the_last_instruction(mode):
+    """An exited thread's pc is past the last instruction, where no
+    runnable thread stops, so that breakpoint could never fire."""
+    session = DebugSession(parse_program(_LABEL_PAST_END), 1, mode)
+    assert session.handle("break done") == "refused: location 'done' resolves outside the program (pc 3)"
+    assert session.breakpoints == set()
+    assert session.handle("continue") == "all threads finished\n" + str(session.result_summary())
+
+
+def test_break_refuses_a_label_inside_a_range_in_gdb_mode():
+    """In gdb mode a dispatch never stops strictly inside LDREX..STREX;
+    the LDREX itself, the range entry, stays a breakpoint that fires."""
+    session = DebugSession(parse_program(_LABEL_IN_RANGE), 1, ExecMode.GDB)
+    assert session.handle("break inner") == (
+        "refused: breakpoint at 'inner' (pc 2) lies strictly inside the exclusive range [1, 3]; "
+        "in gdb mode only the range entry (pc 1) is a legal stop point"
+    )
+    assert session.breakpoints == set()
+    assert session.handle("break ll") == "breakpoint at ll (pc 1)"
+    assert session.handle("continue").startswith("breakpoint ll:\nthread 0 stopped at pc 1")
+
+
+def test_break_accepts_a_label_inside_a_range_in_hw_mode():
+    session = DebugSession(parse_program(_LABEL_IN_RANGE), 1, ExecMode.HW)
+    assert session.handle("break inner") == "breakpoint at inner (pc 2)"
+    assert session.handle("continue").startswith("breakpoint inner:\nthread 0 stopped at pc 2")
+
+
 def test_info_registers_and_examine(load_corpus):
     session = DebugSession(load_corpus("lock_regcmp.s"), 1, ExecMode.GDB)
     drive(session, ["step 3"])

@@ -472,6 +472,18 @@ def test_only_isa_evaluates_the_stop_rule():
     assert callers == {"isa"}
 
 
+def test_only_trace_renders_events():
+    """The event format has one owner: only `trace` reads what only an
+    event shows, the listing (instruction text and labels), the symbol
+    of an address and the monitor's version."""
+    readers: dict[str, set] = {"listing": set(), "addr_sym": set(), "mon_version": set()}
+    for path in Path(spinsim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in readers:
+                readers[node.attr].add(path.stem)
+    assert readers == {"listing": {"trace"}, "addr_sym": {"trace"}, "mon_version": {"trace"}}
+
+
 def test_only_the_dispatch_rule_and_the_hook_check_read_the_stop_table():
     """GDB stepping has one owner: outside `isa`, only `sched` (the
     runner's dispatch rule) and `tamper` (the hook check) read

@@ -550,12 +550,19 @@ def test_explore_calls_freeze_and_thaw(load_corpus, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, threads, states, transitions, terminal",
-    [("lock_basic.s", 3, 13_380, 35_382, 6), ("unlocked_inc.s", 4, 2_765, 6_136, 109)],
+    "name, threads, states, transitions, terminal, violating",
+    [
+        ("lock_basic.s", 3, 13_380, 35_382, 6, 0),
+        ("unlocked_inc.s", 4, 2_765, 6_136, 109, 0),
+        ("lock_no_ll_branch.s", 3, 50_764, 127_044, 186, 5_856),
+    ],
 )
-def test_explore_graph_size_is_pinned(load_corpus, monkeypatch, name, threads, states, transitions, terminal):
+def test_explore_graph_size_is_pinned(
+    load_corpus, monkeypatch, name, threads, states, transitions, terminal, violating
+):
     """The unreduced state graph, counted as perfbench counts it: states
-    are distinct `_freeze` results, transitions are `sched.step` calls."""
+    are distinct `_freeze` results, transitions are `sched.step` calls,
+    and violating states are the reported violation paths."""
     keys, steps = set(), []
     freeze, original_step = sched._freeze, sched.step
 
@@ -572,7 +579,9 @@ def test_explore_graph_size_is_pinned(load_corpus, monkeypatch, name, threads, s
     monkeypatch.setattr(sched, "step", counted_step)
     rep = explore(load_corpus(name), threads)
     assert not rep.truncated
-    assert (len(keys), len(steps), rep.schedules_explored) == (states, transitions, terminal)
+    assert (len(keys), len(steps), rep.schedules_explored, len(rep.mutual_exclusion_violations)) == (
+        states, transitions, terminal, violating
+    )
 
 
 def test_benchmark_workloads_pass_under_the_tracer(monkeypatch, tmp_path):

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from conftest import decode_events
 from test_sched import straight_line_programs
 
-from spinsim import sched, trace
+from spinsim import trace
 from spinsim.debug import DebugSession
 from spinsim.isa import parse_program
 from spinsim.machine import ExecMode, init_machine
 from spinsim.scenario import load_scenario, run_scenario
-from spinsim.sched import RunResult, ScheduleScript, _monitor_text, _Runner, explore, run_random, run_schedule
+from spinsim.sched import RunResult, ScheduleScript, _Runner, explore, run_random, run_schedule
 from spinsim.tamper import TamperError, TamperSpec, compile_tampers, location_for_pc
 from spinsim.trace import emit_trace, summarize
 
@@ -372,62 +372,61 @@ def test_fallback_encoder_gives_the_same_trace_bytes(load_corpus, corpus_file, m
 # --- Differential check of the event renderer against the record builders ---
 
 
-class _RecordRunner(_Runner):
-    """The runner with the event records it built before an event was its
-    line: `_trace_step` and the no-op and violation records of `dispatch`.
-    It serves as its own format, so `trace` and `violations` hold records."""
+def _monitor_text(addr_sym, t):
+    if t.mon_granule is None:
+        return "open"
+    return f"{addr_sym[t.mon_granule]}:v{t.mon_version}"
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._format = self
 
-    def noop_line(self, step, thread_id, pc, label):
-        event = {"type": "event", "step": len(self.trace), "thread": thread_id, "pc": pc, "noop": True}
-        listing = self.machine.program.listing
-        if pc < len(listing) and listing[pc][0] is not None:
-            event["label"] = listing[pc][0]
+def _instruction_records(program):
+    """The record builder of instruction events from before an event was
+    its line, at the renderer's boundary: it returns each event's record."""
+    listing = program.listing
+    instructions = program.instructions
+
+    def record(entry, step, thread_id, note):
+        before, after, memory_before, memory_after = entry
+        pc = before.pc
+        label, instr = listing[pc]
+        event = {"type": "event", "step": step, "thread": thread_id, "pc": pc, "instr": instr}
+        if label is not None:
+            event["label"] = label
+        if note is not None:
+            event["tamper"] = note
+        if after.fault is not None:
+            event["fault"] = after.fault
+        rd = instructions[pc].dest()
+        if rd is not None and after.pc != pc:
+            event["reg_writes"] = [[f"R{rd}", before.regs[rd], after.regs[rd]]]
+        if memory_after is not memory_before:
+            event["mem_writes"] = [
+                [sym, old[0], new[0]]
+                for sym, old, new in zip(program.data_words, memory_before, memory_after)
+                if old != new
+            ]
+        if after.mon_granule != before.mon_granule or after.mon_version != before.mon_version:
+            old_text = _monitor_text(program.addr_sym, before)
+            new_text = _monitor_text(program.addr_sym, after)
+            if new_text != old_text:
+                event["monitor"] = [old_text, new_text]
         return event
 
-    def violation_line(self, thread_id, pc, region, step):
-        event = {"type": "event", "thread": thread_id, "pc": pc, "label": region, "violation": "mutual_exclusion"}
-        if self.events:
-            event["step"] = len(self.trace)
-        return event
+    return record
 
-    def _trace_step(self, thread_id, executed, edits):
-        note = "; ".join(edits) if edits else None
-        m = self.machine
-        trace = self.trace
-        prog = m.program
-        listing = prog.listing
-        instructions = prog.instructions
-        for before, after, memory_before, memory_after in executed:
-            pc = before.pc
-            label, instr = listing[pc]
-            event = {
-                "type": "event", "step": len(trace), "thread": thread_id, "pc": pc, "instr": instr
-            }
-            if label is not None:
-                event["label"] = label
-            if note is not None:
-                event["tamper"], note = note, None
-            if after.fault is not None:
-                event["fault"] = after.fault
-            rd = instructions[pc].dest()
-            if rd is not None and after.pc != pc:
-                event["reg_writes"] = [[f"R{rd}", before.regs[rd], after.regs[rd]]]
-            if memory_after is not memory_before:
-                event["mem_writes"] = [
-                    [sym, old[0], new[0]]
-                    for sym, old, new in zip(prog.data_words, memory_before, memory_after)
-                    if old != new
-                ]
-            if after.mon_granule != before.mon_granule or after.mon_version != before.mon_version:
-                old_text = _monitor_text(prog.addr_sym, before)
-                new_text = _monitor_text(prog.addr_sym, after)
-                if new_text != old_text:
-                    event["monitor"] = [old_text, new_text]
-            trace.append(event)
+
+def _noop_record(program, step, thread_id, pc):
+    event = {"type": "event", "step": step, "thread": thread_id, "pc": pc, "noop": True}
+    listing = program.listing
+    if pc < len(listing) and listing[pc][0] is not None:
+        event["label"] = listing[pc][0]
+    return event
+
+
+def _violation_record(thread_id, pc, region, step):
+    event = {"type": "event", "thread": thread_id, "pc": pc, "label": region, "violation": "mutual_exclusion"}
+    if step is not None:
+        event["step"] = step
+    return event
 
 
 def _dumps(record: dict) -> str:
@@ -435,14 +434,19 @@ def _dumps(record: dict) -> str:
 
 
 def assert_lines_match_records(run) -> RunResult:
-    """`run(runner_class)` makes one run with `sched._Runner` bound to
-    that class. Every line of the run equals the encoded record of the
-    reference run and encodes its own decoding unchanged, and with events
-    on the violation lines are the trace's own. Returns the run."""
+    """`run()` makes one run. Every line of the run equals the encoded
+    record of the reference run, whose runner calls the record builders
+    in place of `trace`'s renderers, and encodes its own decoding
+    unchanged; events are numbered by trace position, and with events on
+    the violation lines are the trace's own. Returns the run."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sched, "_Runner", _RecordRunner)
-        want = run(_RecordRunner)
-    got = run(_Runner)
+        patch.setattr(trace, "instruction_lines", _instruction_records)
+        patch.setattr(trace, "noop_line", _noop_record)
+        patch.setattr(trace, "violation_line", _violation_record)
+        want = run()
+    got = run()
+    if want.trace:
+        assert [event["step"] for event in want.trace] == list(range(len(want.trace)))
     assert got.trace == [_dumps(event) for event in want.trace]
     assert got.violations == [_dumps(event) for event in want.violations]
     assert all(_dumps(json.loads(line)) == line for line in got.trace + got.violations)
@@ -494,7 +498,7 @@ def test_lines_match_records_on_random_programs(program, threads, mode, schedule
         except TamperError:  # strictly inside an exclusive range in GDB mode
             pass
 
-    def run(runner_class):
+    def run():
         machine = init_machine(program, threads, mode)
         if isinstance(schedule, int):
             return run_random(machine, seed=schedule, max_steps=2_000, tampers=tampers)
@@ -508,7 +512,7 @@ def test_lines_match_records_on_random_programs(program, threads, mode, schedule
 @pytest.mark.parametrize("scenario", ["normal3.scn", "random_round.scn", "regtamper_attack.scn"])
 def test_lines_match_records_on_corpus_scenarios(scenario, load_corpus, corpus_file):
     program = load_corpus("lock_regcmp.s")
-    res = assert_lines_match_records(lambda _: run_scenario(load_scenario(corpus_file(scenario)), program))
+    res = assert_lines_match_records(lambda: run_scenario(load_scenario(corpus_file(scenario)), program))
     assert len(res.violations) == (scenario == "regtamper_attack.scn")
 
 
@@ -517,15 +521,15 @@ def test_lines_match_records_at_the_atomic_step_limit_and_without_events(load_co
     with events off (the debugger's), which carry no step."""
     p = parse_program(".data x 0\n    LDR R1, =x\n    LDREX R2, [R1]\nloop:\n    ADD R2, R2, #1\n"
                       "    B loop\n    STREX R3, R2, [R1]\n")
-    res = assert_lines_match_records(lambda _: run_schedule(
+    res = assert_lines_match_records(lambda: run_schedule(
         init_machine(p, 1, ExecMode.GDB), ScheduleScript(entries=[(0, 4)], halt=True)))
     assert ["fault" in e or "noop" in e for e in decode_events(res.trace[-3:])] == [True, True, True]
 
     program = load_corpus("lock_no_ll_branch.s")
     witness = min(explore(program, 2).mutual_exclusion_violations, key=len)
 
-    def run(runner_class):
-        runner = runner_class(init_machine(program, 2, ExecMode.HW), events=False)
+    def run():
+        runner = _Runner(init_machine(program, 2, ExecMode.HW), events=False)
         for tid in witness:
             runner.dispatch(tid)
         return runner.result("script")
