@@ -1,14 +1,15 @@
 """Simulated machine state and single-step execution.
 
-Each thread's state is an immutable `ThreadState` value. `step(machine,
-thread_id)`, the one transition function, puts a new record in
-`MachineState.threads` for the one instruction it retires; tampers, the
-debugger's `set $R` and a scheduler-switch CLREX replace records the
-same way, between steps, so a record taken earlier never changes.
-Memory is a value too: a tuple with one `(value, version)` pair per
-data word in declaration order, which each store replaces whole. `step`
-returns the records and memories around the retired instruction; trace
-events are built from those by the scheduler, not here.
+Each thread's state is an immutable `ThreadState` value, and memory is
+one too: a tuple with one `(value, version)` pair per data word in
+declaration order, which each store replaces whole. `step(program, t,
+memory)`, the one transition function, is pure: it retires one
+instruction of the record `t` and returns the records and memories
+around it, writing nothing. Only the runner (`sched`) puts a new record
+and memory into a `MachineState`; tampers, the debugger's `set $R` and a
+scheduler-switch CLREX replace records between steps, so a record taken
+earlier never changes. Trace events are built from `step`'s entries by
+`trace`, not here.
 
 The machine is sequentially consistent: one instruction retires at a
 time and every store is immediately visible to all threads. Reservation
@@ -366,20 +367,14 @@ _KERNEL_OF = {
 }
 
 
-def step(machine: MachineState, thread_id: int) -> StepOutcome:
-    """Retire one instruction of a runnable thread: replace
-    `machine.threads[thread_id]` with its new record and report it in
-    `StepOutcome.executed` with the records and memories around it. A
-    thread that is not runnable does nothing and reports no entry.
-
-    Nothing acts inside a step: a tamper, a debugger edit or a
-    scheduler's switch is an edit made between steps.
+def step(program: Program, t: ThreadState, memory: Memory) -> StepOutcome:
+    """Retire one instruction of the runnable record `t` over `memory`
+    and report it in `StepOutcome.executed` with the records and
+    memories around it. A record that is not runnable retires nothing
+    and reports no entry. `step` writes nothing: placing the new record
+    and memory is the caller's.
     """
-    threads = machine.threads
-    t = threads[thread_id]
     if t.status != RUNNABLE:
         return _new(StepOutcome, ([], t.status))
-    memory = machine.memory
-    after, machine.memory = machine.program.kernels[t.pc](t, memory)
-    threads[thread_id] = after
-    return _new(StepOutcome, ([(t, after, memory, machine.memory)], after.status))
+    after, memory_after = program.kernels[t.pc](t, memory)
+    return _new(StepOutcome, ([(t, after, memory, memory_after)], after.status))

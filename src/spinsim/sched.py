@@ -45,22 +45,21 @@ that no rule reads and that still splits states). It keys a state by a short
 tuple of ints, in the manner of SPIN's "collapse" compression (Holzmann,
 State Compression in SPIN, 1997): each thread record and each memory
 tuple is interned once per exploration, and the key holds their ids.
-Both are immutable values, so `_freeze` interns what `step` left in
-the machine and `_thaw` assigns interned values back, once per popped
-state; its thread list serves the region check, the runnable scan and
-every child. One step changes one thread and at most memory, so a
-child's key reuses its parent's other ids, and after each child only
-the stepped thread and memory are put back. A path is a parent chain,
-`(parent path, tid)` with its depth kept beside it, so pushing a child
-costs the same at any depth; it becomes a list of thread ids only for a
-reported violation or a witness.
+The explorer holds no machine: `_thaw` turns each popped key into its
+records and memory, which serve the region check, the runnable scan
+and every child, since `step` writes nothing. One step changes one
+thread and at most memory, so `_freeze` keys a child from its parent's
+ids, interning the stepped thread's new record and any new memory. A
+path is a parent chain, `(parent path, tid)` with its depth kept beside
+it, so pushing a child costs the same at any depth; it becomes a list of
+thread ids only for a reported violation or a witness.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 from . import trace
@@ -70,6 +69,7 @@ from .machine import (
     RUNNABLE,
     ExecMode,
     MachineState,
+    Memory,
     StepOutcome,
     ThreadState,
     init_machine,
@@ -189,23 +189,24 @@ class _Runner:
         edits = None
         if self.hooks is not None:
             edits = apply_tampers(self.hooks, m, thread_id, t.pc, arrival)
-        outcome = step(m, thread_id)
-        after = m.threads[thread_id]
+        outcome = step(m.program, m.threads[thread_id], m.memory)
+        executed = outcome.executed
+        _, after, _, memory = executed[0]
         inside = self.inside
         if inside is not None and inside[after.pc] is not None and after.status == RUNNABLE:
             # GDB mode: step on through the rest of the exclusive range.
-            executed = outcome.executed
             while inside[after.pc] is not None and after.status == RUNNABLE:
                 if len(executed) == _ATOMIC_STEP_LIMIT:
                     # Fault the record that reached it, so its event names the fault.
-                    before, _, memory_before, memory_after = executed[-1]
-                    after = m.threads[thread_id] = after._replace(
-                        status=FAULTED, fault="atomic-step limit", mon_granule=None)
-                    executed[-1] = (before, after, memory_before, memory_after)
+                    before, _, memory_before, _ = executed[-1]
+                    after = after._replace(status=FAULTED, fault="atomic-step limit", mon_granule=None)
+                    executed[-1] = (before, after, memory_before, memory)
                     break
-                executed += step(m, thread_id).executed
-                after = m.threads[thread_id]
+                executed += step(m.program, after, memory).executed
+                _, after, _, memory = executed[-1]
             outcome = StepOutcome(executed, after.status)
+        m.threads[thread_id] = after
+        m.memory = memory
         if self.events:
             note = "; ".join(edits) if edits else None  # on the first instruction only
             for entry in outcome.executed:
@@ -317,12 +318,15 @@ def run_random(
 
 @dataclass
 class ExploreReport:
-    final_states: set[tuple[tuple[str, int], ...]]
+    witnesses: dict[tuple[tuple[str, int], ...], list[int]]   # final memory -> a schedule reaching it
     schedules_explored: int
     mutual_exclusion_violations: list[list[int]]
     truncated: bool
-    witnesses: dict[tuple[tuple[str, int], ...], list[int]] = field(default_factory=dict)
     faulted_terminal_states: int = 0   # terminal states in which some thread faulted
+
+    @property
+    def final_states(self) -> set[tuple[tuple[str, int], ...]]:
+        return set(self.witnesses)
 
     @property
     def final_memories(self) -> list[dict[str, int]]:
@@ -349,32 +353,33 @@ class _InternTable:
 
 
 def _freeze(
-    machine: MachineState,
     table: _InternTable,
+    threads: list[ThreadState] | ThreadState,
+    memory: Memory,
     parent: tuple[int, ...] | None = None,
     tid: int = 0,
+    parent_memory: Memory | None = None,
 ) -> tuple[int, ...]:
     """State key: the interned id of each thread record, then the id of
-    the memory tuple. Given the `parent` key the machine was thawed
-    from, only thread `tid` and memory can have changed; memory is
+    the memory tuple. The root gives all its records. A child of state
+    `parent` gives only the new record of thread `tid`, the one that
+    stepped, and the `parent_memory` it stepped from; memory is
     re-interned only when the step replaced it."""
     intern = table.intern
     if parent is None:
-        return tuple([intern(t) for t in machine.threads] + [intern(machine.memory)])
+        return tuple([intern(t) for t in threads] + [intern(memory)])
     # A list edit: on CPython 3.11 it is cheaper than tuple slicing.
     key = list(parent)
-    key[tid] = intern(machine.threads[tid])
-    if machine.memory is not table.parts[parent[-1]]:
-        key[-1] = intern(machine.memory)
+    key[tid] = intern(threads)
+    if memory is not parent_memory:
+        key[-1] = intern(memory)
     return tuple(key)
 
 
-def _thaw(machine: MachineState, key: tuple[int, ...], table: _InternTable) -> list[ThreadState]:
-    """Load state `key` into the machine and return its thread list."""
+def _thaw(key: tuple[int, ...], table: _InternTable) -> tuple[list[ThreadState], Memory]:
+    """The thread records and the memory of state `key`."""
     parts = table.parts
-    machine.memory = parts[key[-1]]
-    threads = machine.threads = [parts[i] for i in key[:-1]]
-    return threads
+    return [parts[i] for i in key[:-1]], parts[key[-1]]
 
 
 def _schedule(path: tuple | None) -> list[int]:
@@ -395,23 +400,22 @@ def explore(
     max_states: int = EXPLORE_MAX_STATES,
 ) -> ExploreReport:
     """Depth-first enumeration of every interleaving in HW mode, one
-    `step` per transition (no runner, so no step count), up to the
-    bounds, memoized on full machine state. Reports each distinct final
-    memory with a witness schedule, plus every reachable state with a
-    crowded region. Bound exhaustion sets truncated; the report stays
-    sound for the explored prefix. `_freeze` and `_thaw` stay separate
-    because perfbench times them as the explorer's keying layer
-    (`sched.explore.key_s`)."""
+    `step` per transition over thawed values (no runner and no machine,
+    so no step count), up to the bounds, memoized on full machine
+    state. Reports each distinct final memory with a witness schedule,
+    plus every reachable state with a crowded region. Bound exhaustion
+    sets truncated; the report stays sound for the explored prefix.
+    `_freeze` and `_thaw` stay separate because perfbench times them as
+    the explorer's keying layer (`sched.explore.key_s`)."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
-    machine = init_machine(program, thread_count, ExecMode.HW)
+    root = init_machine(program, thread_count, ExecMode.HW)
     syms = list(program.data_words)
     regions = program.regions
     table = _InternTable()
 
-    final_states: set = set()
     witnesses: dict = {}
     violations: list[list[int]] = []
     schedules_explored = 0
@@ -419,7 +423,8 @@ def explore(
     truncated = False
 
     # A path is a (parent path, tid) chain; `_schedule` lists it.
-    stack: list[tuple[tuple[int, ...], tuple | None, int]] = [(_freeze(machine, table), None, 0)]
+    root_key = _freeze(table, root.threads, root.memory)
+    stack: list[tuple[tuple[int, ...], tuple | None, int]] = [(root_key, None, 0)]
     visited: set[tuple[int, ...]] = set()
 
     while stack:
@@ -431,14 +436,13 @@ def explore(
             break
         visited.add(key)
 
-        threads = _thaw(machine, key, table)
+        threads, memory = _thaw(key, table)
         if regions and crowded_regions(program, threads):
             violations.append(_schedule(path))
 
         runnable = [i for i, t in enumerate(threads) if t.status == RUNNABLE]
         if not runnable:
-            memory_key = tuple(sorted(zip(syms, [value for value, _ in machine.memory])))
-            final_states.add(memory_key)
+            memory_key = tuple(sorted(zip(syms, [value for value, _ in memory])))
             if memory_key not in witnesses:
                 witnesses[memory_key] = _schedule(path)
             schedules_explored += 1
@@ -448,24 +452,18 @@ def explore(
             truncated = True
             continue
 
-        # One step changes one thread and at most memory: put back those two.
-        memory = machine.memory
         depth += 1
         for tid in reversed(runnable):
-            t = threads[tid]
-            step(machine, tid)
-            child = _freeze(machine, table, key, tid)
+            _, after, _, memory_after = step(program, threads[tid], memory).executed[0]
+            child = _freeze(table, after, memory_after, key, tid, memory)
             if child not in visited:
                 stack.append((child, (path, tid), depth))
-            threads[tid] = t
-            machine.memory = memory
 
     return ExploreReport(
-        final_states=final_states,
+        witnesses=witnesses,
         schedules_explored=schedules_explored,
         mutual_exclusion_violations=violations,
         truncated=truncated,
-        witnesses=witnesses,
         faulted_terminal_states=faulted_terminal_states,
     )
 

@@ -6,6 +6,16 @@ import pytest
 
 import spinsim
 from spinsim import parse_program
+from spinsim.machine import step
+
+
+def step_machine(machine, thread_id: int):
+    """Step thread `thread_id` of `machine` and write its new record and
+    memory back, as the runner does; returns the `StepOutcome`."""
+    outcome = step(machine.program, machine.threads[thread_id], machine.memory)
+    if outcome.executed:
+        _, machine.threads[thread_id], _, machine.memory = outcome.executed[0]
+    return outcome
 
 
 def decode_events(lines: list[str]) -> list[dict]:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import step_machine
+
 import spinsim
 from spinsim import machine as machine_module
 from spinsim.debug import DebugSession
@@ -24,7 +26,6 @@ from spinsim.machine import (
     StepOutcome,
     ThreadState,
     init_machine,
-    step,
 )
 from spinsim.sched import (
     _ATOMIC_STEP_LIMIT,
@@ -46,7 +47,7 @@ def word(machine, symbol):
 
 def run_to_completion(machine, tid):
     while machine.threads[tid].status == RUNNABLE:
-        step(machine, tid)
+        step_machine(machine, tid)
 
 
 def test_init_ten_threads(load_corpus):
@@ -95,7 +96,7 @@ def test_strex_without_reservation_fails():
     )
     m = init_machine(p, 1)
     for _ in range(3):
-        step(m, 0)
+        step_machine(m, 0)
     assert m.threads[0].regs[2] == 1
     assert m.memory_by_symbol()["lockVar"] == 0  # no write happened
     assert word(m, "lockVar")[1] == 0
@@ -116,13 +117,13 @@ def test_memory_is_a_value():
     m = init_machine(p, 1)
     held = m.memory
     for _ in range(3):  # LDR, LDREX, MOV
-        step(m, 0)
+        step_machine(m, 0)
     assert m.memory is held
-    step(m, 0)  # STREX succeeds
+    step_machine(m, 0)  # STREX succeeds
     assert held == ((0, 0), (100, 0))
     assert m.memory == ((0, 0), (7, 1))
     held = m.memory
-    step(m, 0)  # STR
+    step_machine(m, 0)  # STR
     assert held == ((0, 0), (7, 1))
     assert m.memory == ((0, 0), (0, 2))
 
@@ -141,16 +142,16 @@ def test_cross_thread_invalidation_exact():
         + "    STR R3, [R10]\n"
     )
     m = init_machine(p, 2)
-    step(m, 0)
-    step(m, 0)  # A holds a reservation at version 0
+    step_machine(m, 0)
+    step_machine(m, 0)  # A holds a reservation at version 0
     # B runs all the way through its STR (its own STREX also stores)
     for _ in range(8):
-        step(m, 1)
+        step_machine(m, 1)
     version_after_b = word(m, "lockVar")[1]
     assert version_after_b > 0
     for _ in range(3):
-        step(m, 0)  # NOP, NOP, MOV
-    step(m, 0)      # A: STREX
+        step_machine(m, 0)  # NOP, NOP, MOV
+    step_machine(m, 0)      # A: STREX
     assert m.threads[0].regs[2] == 1
     assert word(m, "lockVar")[1] == version_after_b  # A wrote nothing
     assert word(m, "lockVar")[0] == 9
@@ -167,7 +168,7 @@ def test_own_str_invalidates_own_reservation():
     )
     m = init_machine(p, 1)
     for _ in range(5):
-        step(m, 0)
+        step_machine(m, 0)
     assert m.threads[0].regs[2] == 1
     assert m.memory_by_symbol()["x"] == 3
 
@@ -183,7 +184,7 @@ def test_monitor_hygiene_second_strex_fails():
     )
     m = init_machine(p, 1)
     for _ in range(5):
-        step(m, 0)
+        step_machine(m, 0)
     t = m.threads[0]
     assert t.regs[2] == 0    # first succeeds
     assert t.regs[3] == 1    # second has no reservation
@@ -200,13 +201,13 @@ def test_clrex_drops_reservation():
         + "    STREX R2, R9, [R10]\n"
     )
     m = init_machine(p, 1)
-    step(m, 0)
-    step(m, 0)
+    step_machine(m, 0)
+    step_machine(m, 0)
     assert m.threads[0].mon_granule is not None
-    step(m, 0)
+    step_machine(m, 0)
     assert m.threads[0].mon_granule is None
-    step(m, 0)
-    step(m, 0)
+    step_machine(m, 0)
+    step_machine(m, 0)
     assert m.threads[0].regs[2] == 1
 
 
@@ -221,23 +222,23 @@ def test_cmp_flags_and_add_wrapping():
         + "    ADD R4, R2, R2\n"
     )
     m = init_machine(p, 1)
-    step(m, 0)
-    step(m, 0)
+    step_machine(m, 0)
+    step_machine(m, 0)
     t = m.threads[0]
     assert t.z and not t.n
-    step(m, 0)
+    step_machine(m, 0)
     t = m.threads[0]
     assert not t.z and t.n
-    step(m, 0)
+    step_machine(m, 0)
     t = m.threads[0]
     assert not t.z and not t.n
     z_before, n_before = t.z, t.n
-    step(m, 0)
-    step(m, 0)
+    step_machine(m, 0)
+    step_machine(m, 0)
     t = m.threads[0]
     assert t.regs[3] == 1
     assert (t.z, t.n) == (z_before, n_before)  # ADD leaves flags alone
-    step(m, 0)
+    step_machine(m, 0)
     assert m.threads[0].regs[4] == 0xFFFFFFFE
 
 
@@ -264,16 +265,16 @@ def test_branches():
 def test_unmapped_access_faults_thread_only():
     p = parse_program(".data x 1\n    LDR R1, [R0]\n")  # R0 = 0: unmapped
     m = init_machine(p, 2)
-    out = step(m, 0)
+    out = step_machine(m, 0)
     assert out.new_status == FAULTED
     assert m.threads[0].fault == "bus error"
     assert m.threads[0].mon_granule is None
     # the machine keeps running other threads
     assert m.threads[1].status == RUNNABLE
-    step(m, 1)
+    step_machine(m, 1)
     assert m.threads[1].status == FAULTED  # same program, same fault
     # stepping a faulted thread is a no-op at machine level
-    out = step(m, 0)
+    out = step_machine(m, 0)
     assert out.executed == [] and out.new_status == FAULTED
 
 
@@ -283,7 +284,7 @@ def test_unaligned_access_faults():
     )
     m = init_machine(p, 1)
     for _ in range(3):
-        step(m, 0)
+        step_machine(m, 0)
     assert m.threads[0].status == FAULTED
     assert m.threads[0].fault == "bus error"
 
@@ -300,7 +301,7 @@ def test_branch_to_out_of_range_index_faults():
         regions=[],
     )
     m = init_machine(p, 1)
-    out = step(m, 0)
+    out = step_machine(m, 0)
     assert out.new_status == FAULTED
     assert m.threads[0].fault == "bad branch"
 
@@ -308,7 +309,7 @@ def test_branch_to_out_of_range_index_faults():
 def test_exit_at_program_end():
     p = parse_program("    NOP\n")
     m = init_machine(p, 1)
-    out = step(m, 0)
+    out = step_machine(m, 0)
     assert out.new_status == EXITED
     assert m.threads[0].pc == 1
 
@@ -319,10 +320,10 @@ def test_step_retires_one_instruction_in_gdb_mode(load_corpus):
     runner, not the machine, steps on to the next stop."""
     p = load_corpus("lock_regcmp.s")
     m = init_machine(p, 1, ExecMode.GDB)
-    step(m, 0)  # LDR
-    step(m, 0)  # MOV R7
+    step_machine(m, 0)  # LDR
+    step_machine(m, 0)  # MOV R7
     assert p.instructions[2].opcode == "LDREX"
-    out = step(m, 0)
+    out = step_machine(m, 0)
     assert [before.pc for before, _, _, _ in out.executed] == [2]
     assert m.threads[0].pc == 3 and p.inside_range[3] is not None
 
@@ -363,7 +364,7 @@ def test_hw_mode_steps_single_instructions(load_corpus):
     p = load_corpus("lock_regcmp.s")
     m = init_machine(p, 1, ExecMode.HW)
     for expected_pc in [1, 2, 3, 4, 5, 6, 7]:
-        out = step(m, 0)
+        out = step_machine(m, 0)
         assert len(out.executed) == 1
         assert m.threads[0].pc == expected_pc
 
@@ -482,6 +483,32 @@ def test_only_trace_renders_events():
             if isinstance(node, ast.Attribute) and node.attr in readers:
                 readers[node.attr].add(path.stem)
     assert readers == {"listing": {"trace"}, "addr_sym": {"trace"}, "mon_version": {"trace"}}
+
+
+def test_only_the_runner_writes_a_machine():
+    """`step` is pure: the only functions that assign to a machine's
+    `threads`, one of its records or its `memory` are the runner's
+    dispatch and the tamper hook it calls; the explorer keys values."""
+    writers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            targets = child.targets if isinstance(child, ast.Assign) else []
+            if isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    n = n.value if isinstance(n, ast.Subscript) else n
+                    if isinstance(n, ast.Attribute) and n.attr in ("threads", "memory"):
+                        writers.add(".".join(scope))
+            visit(child, scope)
+
+    for path in Path(spinsim.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    assert writers == {"sched._Runner.dispatch", "tamper.apply_tampers"}
 
 
 def test_only_the_dispatch_rule_and_the_hook_check_read_the_stop_table():

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import random
 
+from conftest import step_machine
+
 from spinsim.isa import Instruction, Program, strictly_inside
-from spinsim.machine import RUNNABLE, ExecMode, init_machine, step
+from spinsim.machine import RUNNABLE, ExecMode, init_machine
 from spinsim.sched import _Runner, splitmix64
 
 SYMBOLS = ("A", "B")
@@ -89,7 +91,7 @@ def machine_run(program: Program, rng: random.Random):
         tid = rng.choice(runnable)
         picks.append(tid)
         ins = program.instructions[m.threads[tid].pc]
-        step(m, tid)
+        step_machine(m, tid)
         if ins.opcode == "STREX":
             status_reg = ins.operands[0][1]
             strex_results.append((tid, m.threads[tid].regs[status_reg]))

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import decode_events
+from conftest import decode_events, step_machine
 
 from spinsim import sched
 from spinsim.debug import DebugSession
 from spinsim.isa import parse_program
-from spinsim.machine import EXITED, RUNNABLE, ExecMode, ThreadState, init_machine, step
+from spinsim.machine import EXITED, RUNNABLE, ExecMode, ThreadState, init_machine
 from spinsim.sched import (
     ScheduleScript,
     _Runner,
@@ -196,7 +196,7 @@ def test_thread_records_are_values(load_corpus):
 
     m = init_machine(p, 2, ExecMode.HW)
     held = m.threads[0]
-    step(m, 0)  # LDR R10, =lockVar
+    step_machine(m, 0)  # LDR R10, =lockVar
     assert held == fresh
     assert m.threads[0] == fresh._replace(regs=(0,) * 10 + (lock_var, 0, 0), pc=1)
 
@@ -423,7 +423,7 @@ def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_
             continue
         for tid in reversed(runnable):
             thaw(snap)
-            step(m, tid)
+            step_machine(m, tid)
             child = freeze()
             if child not in visited:
                 stack.append((child, path + (tid,)))
@@ -535,18 +535,25 @@ def test_benchmark_targets_resolve(monkeypatch):
 
 def test_explore_calls_freeze_and_thaw(load_corpus, monkeypatch):
     """perfbench counts explorer states as distinct `sched._freeze`
-    results and times `_freeze` plus `_thaw` as the keying layer."""
-    calls = {"_freeze": 0, "_thaw": 0}
+    results and times `_freeze` plus `_thaw` as the keying layer: an
+    untruncated exploration freezes the root and one child per `step`,
+    and thaws each distinct key once."""
+    calls = {"_freeze": [], "_thaw": [], "step": []}
     for name in calls:
 
-        def counted(*args, _name=name, _original=getattr(sched, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(*args, _name=name, _original=getattr(sched, name)):
+            result = _original(*args)
+            calls[_name].append(result)
+            return result
 
         monkeypatch.setattr(sched, name, counted)
-    rep = explore(load_corpus("lock_basic.s"), 2)
-    assert rep.schedules_explored > 0
-    assert calls["_freeze"] > 0 and calls["_thaw"] > 0
+    for name, threads in (("lock_basic.s", 2), ("lock_no_ll_branch.s", 2), ("unlocked_inc.s", 3)):
+        for made in calls.values():
+            made.clear()
+        rep = explore(load_corpus(name), threads)
+        assert not rep.truncated and rep.schedules_explored > 0
+        assert len(calls["_freeze"]) == 1 + len(calls["step"]), name
+        assert len(calls["_thaw"]) == len(set(calls["_freeze"])), name
 
 
 @pytest.mark.parametrize(
@@ -555,6 +562,7 @@ def test_explore_calls_freeze_and_thaw(load_corpus, monkeypatch):
         ("lock_basic.s", 3, 13_380, 35_382, 6, 0),
         ("unlocked_inc.s", 4, 2_765, 6_136, 109, 0),
         ("lock_no_ll_branch.s", 3, 50_764, 127_044, 186, 5_856),
+        ("lock_regcmp.s", 3, 18_919, 50_865, 6, 0),
     ],
 )
 def test_explore_graph_size_is_pinned(
