@@ -1,12 +1,13 @@
 """Static checks for lock-routine hygiene.
 
 Every rule reads one guard walk. For the register Rd that an LDREX or
-STREX writes, the *guard* is the first `CMP Rd, ...` on the fall-through
-chain from the next pc; before the guard the chain ends at a
-redefinition of Rd, at a `B`, or at the end of the listing. The guard is
-*branched* when a BNE or BEQ follows it before another CMP or a `B`; a
-later redefinition of Rd does not matter, the flags already hold the
-comparison. The routines this targets are tiny.
+STREX writes, the walk starts at the next pc, falls through and follows
+each `B` to its label; it ends at a pc it has already walked or at the
+end of the listing. The *guard* is the first `CMP Rd, ...` it reaches;
+before the guard the walk also ends at a redefinition of Rd. The guard
+is *branched* when the walk then reaches a BNE or BEQ before another
+CMP; a later redefinition of Rd does not matter, the flags already hold
+the comparison. The routines this targets are tiny.
 
     REG_COMPARE (error)        the guard of an LDREX/STREX destination
                                compares it against a register instead of
@@ -14,7 +15,7 @@ comparison. The routines this targets are tiny.
                                edited by a debugger or fault attacker,
                                an immediate cannot
     MISSING_LL_BRANCH (warn)   an LDREX whose guard is not branched
-                               before the paired STREX
+                               before the walk passes the paired STREX
     MISSING_SC_BRANCH (error)  a STREX whose guard is not branched
     ORPHAN_LDREX (warn)        LDREX with no following STREX
     ORPHAN_STREX (warn)        STREX with no preceding LDREX
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .isa import Instruction, Program
+from .isa import Program
 
 REG_COMPARE = "REG_COMPARE"
 MISSING_LL_BRANCH = "MISSING_LL_BRANCH"
@@ -56,22 +57,26 @@ class Finding:
     severity: str
 
 
-def _guard(instructions: list[Instruction], start: int, reg: int) -> tuple[int | None, int | None]:
+def _guard(program: Program, start: int, reg: int) -> tuple[int | None, int | None, set[int]]:
     """The guard walk from `start` for `reg`: (pc of the guard, pc of the
-    conditional branch that reads it), each None when there is none."""
-    guard = None
-    for i in range(start, len(instructions)):
+    conditional branch that reads it, each None when there is none; the
+    pcs walked)."""
+    instructions = program.instructions
+    guard, walked, i = None, set(), start
+    while i < len(instructions) and i not in walked:
+        walked.add(i)
         ins = instructions[i]
         if guard is None:
             if ins.opcode == "CMP" and ins.operands[0] == ("reg", reg):
                 guard = i
-            elif ins.opcode == "B" or ins.dest() == reg:
+            elif ins.dest() == reg:
                 break
         elif ins.opcode in _CONDITIONAL_BRANCHES:
-            return guard, i
-        elif ins.opcode in ("CMP", "B"):
+            return guard, i, walked
+        elif ins.opcode == "CMP":
             break
-    return guard, None
+        i = program.labels[ins.operands[0][1]] if ins.opcode == "B" else i + 1
+    return guard, None, walked
 
 
 def lint(program: Program) -> list[Finding]:
@@ -89,7 +94,7 @@ def lint(program: Program) -> list[Finding]:
         if ins.opcode not in ("LDREX", "STREX"):
             continue
         reg = ins.dest()
-        guard, branch = _guard(instructions, i + 1, reg)
+        guard, branch, walked = _guard(program, i + 1, reg)
         if guard is not None and instructions[guard].operands[1][0] == "reg":
             report(
                 REG_COMPARE,
@@ -101,7 +106,7 @@ def lint(program: Program) -> list[Finding]:
             seen_ldrex = True
             if i not in paired:
                 report(ORPHAN_LDREX, i, "LDREX with no following STREX")
-            elif branch is None or branch >= paired[i]:
+            elif branch is None or paired[i] in walked:
                 report(
                     MISSING_LL_BRANCH,
                     i,

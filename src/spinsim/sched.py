@@ -38,21 +38,24 @@ SplitMix64 (the generator is recorded in the trace header so seeds are
 portable): pick = runnable[next_output % len(runnable)].
 
 The explorer enumerates all interleavings of a program depth-first in
-HW mode, memoizing on the full machine state (registers, flags, PCs,
-monitors, memory, and version counters; a held monitor's version decides
-whether its STREX succeeds, but an open monitor keeps a stale version
-that no rule reads and that still splits states). It keys a state by a short
-tuple of ints, in the manner of SPIN's "collapse" compression (Holzmann,
-State Compression in SPIN, 1997): each thread record and each memory
-tuple is interned once per exploration, and the key holds their ids.
-The explorer holds no machine: `_thaw` turns each popped key into its
-records and memory, which serve the region check, the runnable scan
-and every child, since `step` writes nothing. One step changes one
-thread and at most memory, so `_freeze` keys a child from its parent's
-ids, interning the stepped thread's new record and any new memory. A
-path is a parent chain, `(parent path, tid)` with its depth kept beside
-it, so pushing a child costs the same at any depth; it becomes a list of
-thread ids only for a reported violation or a witness.
+HW mode. It records and pushes a state when first reached, so every
+recorded state is expanded once; a new state deeper than `max_steps`, or
+past `max_states` recorded ones, is dropped and sets `truncated`. A
+state is the full machine state (registers, flags, PCs, monitors,
+memory, and version counters; a held monitor's version decides whether
+its STREX succeeds, but an open monitor keeps a stale version that no
+rule reads and that still splits states), keyed by a short tuple of ints
+in the manner of SPIN's "collapse" compression (Holzmann, State
+Compression in SPIN, 1997): each thread record and each memory tuple is
+interned once per exploration, and the key holds their ids. The
+explorer holds no machine: `_thaw` turns each popped key into its
+records and memory, which serve the region check, the runnable scan and
+every child, since `step` writes nothing. One step changes one thread
+and at most memory, so `_freeze` keys a child from its parent's ids,
+interning the stepped thread's new record and any new memory. A path is
+a parent chain, `(parent path, tid)` with its depth kept beside it, so
+pushing a child costs the same at any depth; it becomes a list of thread
+ids only for a reported violation or a witness.
 """
 
 from __future__ import annotations
@@ -401,10 +404,11 @@ def explore(
 ) -> ExploreReport:
     """Depth-first enumeration of every interleaving in HW mode, one
     `step` per transition over thawed values (no runner and no machine,
-    so no step count), up to the bounds, memoized on full machine
-    state. Reports each distinct final memory with a witness schedule,
-    plus every reachable state with a crowded region. Bound exhaustion
-    sets truncated; the report stays sound for the explored prefix.
+    so no step count). Reports each distinct final memory with a witness
+    schedule, plus every reachable state with a crowded region.
+    `truncated` means a bound dropped a new state, one deeper than
+    `max_steps` or past `max_states` recorded ones; every recorded state
+    was expanded.
     `_freeze` and `_thaw` stay separate because perfbench times them as
     the explorer's keying layer (`sched.explore.key_s`)."""
     if max_steps < 1:
@@ -422,20 +426,12 @@ def explore(
     faulted_terminal_states = 0
     truncated = False
 
-    # A path is a (parent path, tid) chain; `_schedule` lists it.
     root_key = _freeze(table, root.threads, root.memory)
     stack: list[tuple[tuple[int, ...], tuple | None, int]] = [(root_key, None, 0)]
-    visited: set[tuple[int, ...]] = set()
+    seen = {root_key}
 
     while stack:
         key, path, depth = stack.pop()
-        if key in visited:
-            continue
-        if len(visited) >= max_states:
-            truncated = True
-            break
-        visited.add(key)
-
         threads, memory = _thaw(key, table)
         if regions and crowded_regions(program, threads):
             violations.append(_schedule(path))
@@ -448,16 +444,18 @@ def explore(
             schedules_explored += 1
             faulted_terminal_states += any(t.status == FAULTED for t in threads)
             continue
-        if depth >= max_steps:
-            truncated = True
-            continue
 
         depth += 1
         for tid in reversed(runnable):
             _, after, _, memory_after = step(program, threads[tid], memory).executed[0]
             child = _freeze(table, after, memory_after, key, tid, memory)
-            if child not in visited:
-                stack.append((child, (path, tid), depth))
+            if child in seen:
+                continue
+            if depth > max_steps or len(seen) >= max_states:
+                truncated = True
+                continue
+            seen.add(child)
+            stack.append((child, (path, tid), depth))
 
     return ExploreReport(
         witnesses=witnesses,

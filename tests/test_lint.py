@@ -83,7 +83,7 @@ def _edited_lock_basic(edit: str) -> str:
 @pytest.mark.parametrize(
     "edit, expected",
     [
-        # The guard is dead code: the chain ends at the B.
+        # The guard is dead code: the walk follows the B past it.
         ("B past the LL guard", [(MISSING_LL_BRANCH, 1)]),
         # The BNE reads CMP R5, not the guard.
         ("CMP between the LL guard and its branch", [(MISSING_LL_BRANCH, 1)]),
@@ -94,6 +94,45 @@ def _edited_lock_basic(edit: str) -> str:
 def test_guard_walk_on_lock_basic_edits(edit, expected):
     findings = lint(parse_program(_edited_lock_basic(edit)))
     assert [(f.rule, f.pc) for f in findings] == expected
+
+
+def test_guard_walk_follows_an_unconditional_branch():
+    """The LDREX guard sits after the STREX, behind a `B` there and a `B`
+    back: the walk reaches its branch without passing the STREX, and the
+    explorer agrees that the lock holds."""
+    program = parse_program(
+        ".data lockVar 0\n"
+        ".data accountBalance 100\n"
+        ".region critical critical_section unlock\n"
+        "retry:\n"
+        "    LDR R10, =lockVar\n"
+        "    LDREX R8, [R10]\n"
+        "    B check\n"
+        "back:\n"
+        "    MOV R9, #1\n"
+        "    STREX R2, R9, [R10]\n"
+        "    CMP R2, #0\n"
+        "    BNE retry\n"
+        "    B critical_section\n"
+        "check:\n"
+        "    CMP R8, #0\n"
+        "    BNE retry\n"
+        "    B back\n"
+        "critical_section:\n"
+        "    LDR R10, =accountBalance\n"
+        "    LDR R4, [R10]\n"
+        "    ADD R4, R4, #5\n"
+        "    STR R4, [R10]\n"
+        "unlock:\n"
+        "    MOV R5, #0\n"
+        "    LDR R10, =lockVar\n"
+        "    STR R5, [R10]\n"
+    )
+    assert lint(program) == []
+    for threads, balance in ((2, 110), (3, 115)):
+        report = explore(program, threads)
+        assert not report.truncated and not report.mutual_exclusion_violations
+        assert report.final_values("accountBalance") == {balance}
 
 
 def _mutants(name: str):

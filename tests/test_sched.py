@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import decode_events, step_machine
 
-from spinsim import sched
+from spinsim import corpus_path, sched
 from spinsim.debug import DebugSession
 from spinsim.isa import parse_program
 from spinsim.machine import EXITED, RUNNABLE, ExecMode, ThreadState, init_machine
@@ -366,6 +366,17 @@ def test_explore_bounded_exhaustive_scale(load_corpus):
     assert not rep.truncated
 
 
+@pytest.mark.parametrize("name, max_steps", [("lock_basic.s", 60), ("lock_regcmp.s", 61)])
+def test_explore_depth_bound_past_every_state_loses_nothing(load_corpus, name, max_steps):
+    """Each state is recorded and expanded at the depth of the path that
+    first reaches it, and no later path cuts it: a bound that every such
+    path fits within gives the unbounded report."""
+    p = load_corpus(name)
+    rep = explore(p, 2, max_steps=max_steps)
+    assert not rep.truncated
+    assert report_fields(rep) == report_fields(explore(p, 2))
+
+
 def test_explore_three_threads(load_corpus):
     rep = explore(load_corpus("lock_basic.s"), 3)
     assert rep.final_values("accountBalance") == {115}
@@ -378,8 +389,10 @@ def test_explore_three_threads(load_corpus):
 
 def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_000):
     """The explorer keyed on whole-machine nested-tuple snapshots, thawed
-    in full before every child step. Returns the report's fields and the
-    number of states visited."""
+    in full before every child step. A state is recorded and pushed when
+    first reached; a bound drops a new state, one deeper than `max_steps`
+    or past `max_states` recorded ones, and sets truncated. Returns the
+    report's fields and the number of states recorded."""
     m = init_machine(program, thread_count, ExecMode.HW)
 
     def freeze():
@@ -396,15 +409,10 @@ def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_
         m.memory = snap[1]
 
     finals, witnesses, violations, terminal, truncated = set(), {}, [], 0, False
-    stack, visited = [(freeze(), ())], set()
+    stack = [(freeze(), ())]
+    seen = {stack[0][0]}
     while stack:
         snap, path = stack.pop()
-        if snap in visited:
-            continue
-        if len(visited) >= max_states:
-            truncated = True
-            break
-        visited.add(snap)
         threads = snap[0]
         if any(
             sum(t[6] == RUNNABLE and r.start <= t[3] < r.end for t in threads) >= 2
@@ -418,16 +426,18 @@ def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_
             witnesses.setdefault(final, list(path))
             terminal += 1
             continue
-        if len(path) >= max_steps:
-            truncated = True
-            continue
         for tid in reversed(runnable):
             thaw(snap)
             step_machine(m, tid)
             child = freeze()
-            if child not in visited:
-                stack.append((child, path + (tid,)))
-    return (finals, witnesses, violations, terminal, truncated), len(visited)
+            if child in seen:
+                continue
+            if len(path) >= max_steps or len(seen) >= max_states:
+                truncated = True
+                continue
+            seen.add(child)
+            stack.append((child, path + (tid,)))
+    return (finals, witnesses, violations, terminal, truncated), len(seen)
 
 
 def report_fields(rep):
@@ -440,22 +450,25 @@ def report_fields(rep):
     )
 
 
-def assert_explorers_agree(program, thread_count):
-    """Same report as the reference, untruncated and at every max_states
-    around the reference's visited-state count, and every violation
-    witness replays through `run_schedule` to a violation."""
-    want, visited = reference_explore(program, thread_count)
+def assert_explorers_agree(program, thread_count, cap_sweep=True):
+    """Same report as the reference, untruncated and (with `cap_sweep`)
+    at every max_states around the reference's state count, and every
+    violation witness replays through `run_schedule` to a violation."""
+    want, states = reference_explore(program, thread_count)
     assert not want[-1]
     for witness in want[2]:  # violation witnesses replay to a run's violation
         machine = init_machine(program, thread_count, ExecMode.HW)
         assert run_schedule(machine, witness_script(witness)).violations, witness
     assert report_fields(explore(program, thread_count)) == want
-    for cap in sorted({1, 10, 100, visited - 1} - {0}):
+    if not cap_sweep:
+        return states
+    for cap in sorted({1, 10, 100, states - 1} - {0}):
         want_capped, _ = reference_explore(program, thread_count, max_states=cap)
         got = report_fields(explore(program, thread_count, max_states=cap))
         assert got == want_capped, (thread_count, cap)
-        assert got[-1] == (cap < visited), cap
-    assert report_fields(explore(program, thread_count, max_states=visited)) == want
+        assert got[-1] == (cap < states), cap
+    assert report_fields(explore(program, thread_count, max_states=states)) == want
+    return states
 
 
 @pytest.mark.parametrize(
@@ -471,6 +484,18 @@ def assert_explorers_agree(program, thread_count):
 )
 def test_explore_matches_reference_on_corpus(load_corpus, name, threads):
     assert_explorers_agree(load_corpus(name), threads)
+
+
+def test_explore_matches_reference_where_a_state_is_reached_twice_before_expansion():
+    """`lock_unlock.s` with its STREX check at pc 6 turned into `CMP R2, #1`
+    goes past its STREX only when the STREX fails. At 3 threads it
+    reaches states again while they wait on the stack, so its witnesses
+    show the push rule: a state is pushed once, from the path that first
+    reaches it."""
+    source = corpus_path("lock_unlock.s").read_text(encoding="utf-8")
+    assert source.count("CMP R2, #0") == 1
+    program = parse_program(source.replace("CMP R2, #0", "CMP R2, #1"))
+    assert assert_explorers_agree(program, 3, cap_sweep=False) == 10_602
 
 
 _REG_ADDR = st.sampled_from(("R10", "R11"))
