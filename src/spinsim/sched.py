@@ -37,31 +37,36 @@ Random runs draw the next thread uniformly from the runnable set with
 SplitMix64 (the generator is recorded in the trace header so seeds are
 portable): pick = runnable[next_output % len(runnable)].
 
-The explorer enumerates all interleavings of a program depth-first in
-HW mode. It records and pushes a state when first reached, so every
-recorded state is expanded once; a new state deeper than `max_steps`, or
-past `max_states` recorded ones, is dropped and sets `truncated`. A
-state is the full machine state (registers, flags, PCs, monitors,
-memory, and version counters; a held monitor's version decides whether
-its STREX succeeds, but an open monitor keeps a stale version that no
-rule reads and that still splits states), keyed by a short tuple of ints
-in the manner of SPIN's "collapse" compression (Holzmann, State
-Compression in SPIN, 1997): each thread record and each memory tuple is
-interned once per exploration, and the key holds their ids. The
-explorer holds no machine: `_thaw` turns each popped key into its
-records and memory, which serve the region check, the runnable scan and
-every child, since `step` writes nothing. One step changes one thread
-and at most memory, so `_freeze` keys a child from its parent's ids,
-interning the stepped thread's new record and any new memory. A path is
-a parent chain, `(parent path, tid)` with its depth kept beside it, so
-pushing a child costs the same at any depth; it becomes a list of thread
-ids only for a reported violation or a witness.
+The explorer enumerates all interleavings of a program in HW mode, in
+level order: a FIFO of state keys, children taken in ascending thread
+order. It records a state when first reached, so every recorded state
+is expanded once and lies at its shortest distance from the start; a
+new state farther than `max_steps`, or past `max_states` recorded ones,
+is dropped and sets `truncated`. A state is the full machine state
+(registers, flags, PCs, monitors, memory, and version counters; a held
+monitor's version decides whether its STREX succeeds, but an open
+monitor keeps a stale version that no rule reads and that still splits
+states), keyed by a short tuple of ints in the manner of SPIN's
+"collapse" compression (Holzmann, State Compression in SPIN, 1997):
+each thread record and each memory tuple is interned once per
+exploration, and the key holds their ids. The explorer holds no
+machine: `_thaw` turns each dequeued key into its records and memory,
+which serve the region check, the runnable scan and every child, since
+`step` writes nothing. One step changes one thread and at most memory,
+so `_freeze` keys a child from its parent's ids, interning the stepped
+thread's new record and any new memory. States are numbered in the
+order they are first reached, and two flat arrays indexed by that
+number hold the search tree: the parent's number and the thread that
+stepped. `_path` reads a schedule back from them only for a reported
+violation or a witness, and every such schedule has the fewest steps.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from array import array
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
@@ -321,7 +326,9 @@ def run_random(
 
 @dataclass
 class ExploreReport:
-    witnesses: dict[tuple[tuple[str, int], ...], list[int]]   # final memory -> a schedule reaching it
+    # Final memory -> a schedule reaching it. This and each violation
+    # schedule have the fewest steps that reach their state.
+    witnesses: dict[tuple[tuple[str, int], ...], list[int]]
     schedules_explored: int
     mutual_exclusion_violations: list[list[int]]
     truncated: bool
@@ -385,13 +392,12 @@ def _thaw(key: tuple[int, ...], table: _InternTable) -> tuple[list[ThreadState],
     return [parts[i] for i in key[:-1]], parts[key[-1]]
 
 
-def _schedule(path: tuple | None) -> list[int]:
-    """The thread ids of an explorer path, a `(parent path, tid)` chain
-    ending in None, from the root on."""
+def _path(parent: array, via: array, i: int) -> list[int]:
+    """The thread ids that step from the root, state 0, to state `i`."""
     tids = []
-    while path is not None:
-        path, tid = path
-        tids.append(tid)
+    while i:
+        tids.append(via[i])
+        i = parent[i]
     tids.reverse()
     return tids
 
@@ -402,13 +408,14 @@ def explore(
     max_steps: int = EXPLORE_MAX_STEPS,
     max_states: int = EXPLORE_MAX_STATES,
 ) -> ExploreReport:
-    """Depth-first enumeration of every interleaving in HW mode, one
+    """Level-order enumeration of every interleaving in HW mode, one
     `step` per transition over thawed values (no runner and no machine,
     so no step count). Reports each distinct final memory with a witness
-    schedule, plus every reachable state with a crowded region.
-    `truncated` means a bound dropped a new state, one deeper than
-    `max_steps` or past `max_states` recorded ones; every recorded state
-    was expanded.
+    schedule, plus every reachable state with a crowded region; each
+    schedule has the fewest steps that reach its state. `max_steps`
+    bounds a state's distance from the start: `truncated` means a state
+    farther than that exists, or a new state came past `max_states`
+    recorded ones. Every recorded state was expanded.
     `_freeze` and `_thaw` stay separate because perfbench times them as
     the explorer's keying layer (`sched.explore.key_s`)."""
     if max_steps < 1:
@@ -417,45 +424,49 @@ def explore(
         raise ValueError("max_states must be >= 1")
     root = init_machine(program, thread_count, ExecMode.HW)
     syms = list(program.data_words)
-    regions = program.regions
     table = _InternTable()
 
     witnesses: dict = {}
     violations: list[list[int]] = []
-    schedules_explored = 0
-    faulted_terminal_states = 0
+    schedules_explored = faulted_terminal_states = 0
     truncated = False
 
-    root_key = _freeze(table, root.threads, root.memory)
-    stack: list[tuple[tuple[int, ...], tuple | None, int]] = [(root_key, None, 0)]
-    seen = {root_key}
+    queue = deque([_freeze(table, root.threads, root.memory)])
+    seen = set(queue)
+    # State i's parent's number and the thread that stepped; the root is 0.
+    parent, via = array("i", [0]), array("H", [0])
+    depth, level_end = 0, 1   # state i's distance from the start; its level ends at `level_end`
 
-    while stack:
-        key, path, depth = stack.pop()
+    while queue:
+        i = len(parent) - len(queue)   # the number of the state at the queue's head
+        if i == level_end:
+            depth, level_end = depth + 1, len(parent)
+        key = queue.popleft()
         threads, memory = _thaw(key, table)
-        if regions and crowded_regions(program, threads):
-            violations.append(_schedule(path))
+        if program.regions and crowded_regions(program, threads):
+            violations.append(_path(parent, via, i))
 
-        runnable = [i for i, t in enumerate(threads) if t.status == RUNNABLE]
+        runnable = [tid for tid, t in enumerate(threads) if t.status == RUNNABLE]
         if not runnable:
             memory_key = tuple(sorted(zip(syms, [value for value, _ in memory])))
             if memory_key not in witnesses:
-                witnesses[memory_key] = _schedule(path)
+                witnesses[memory_key] = _path(parent, via, i)
             schedules_explored += 1
             faulted_terminal_states += any(t.status == FAULTED for t in threads)
             continue
 
-        depth += 1
-        for tid in reversed(runnable):
+        for tid in runnable:
             _, after, _, memory_after = step(program, threads[tid], memory).executed[0]
             child = _freeze(table, after, memory_after, key, tid, memory)
             if child in seen:
                 continue
-            if depth > max_steps or len(seen) >= max_states:
+            if depth >= max_steps or len(seen) >= max_states:
                 truncated = True
                 continue
             seen.add(child)
-            stack.append((child, (path, tid), depth))
+            queue.append(child)
+            parent.append(i)
+            via.append(tid)
 
     return ExploreReport(
         witnesses=witnesses,

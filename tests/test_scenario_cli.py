@@ -594,8 +594,8 @@ def test_cli_run_trace_matches_golden_record(scenario, corpus_file, tmp_path, ca
         ("lock_basic.s", 3, 0, "367c45abb6dabc60d6562fb94e97fba6d06ba5e38c5bc146197b342ce1988d9e"),
         ("lock_regcmp.s", 2, 0, "8e530ad8944b601771b76550ffa6480ed308b03183ea192eafd5217c30557ddc"),
         ("lock_regcmp.s", 3, 0, "367c45abb6dabc60d6562fb94e97fba6d06ba5e38c5bc146197b342ce1988d9e"),
-        ("lock_no_ll_branch.s", 2, 2, "51ecb4e7570057f2cdcdec54117c1f7d796bef3eaaf6292aba7dc5c021b5bede"),
-        ("lock_no_ll_branch.s", 3, 2, "af58a02783fb270a038ccd9b9f4e96f34d96da28340ffee6833a47afab099cdd"),
+        ("lock_no_ll_branch.s", 2, 2, "2707168a4dadd833b945e2a87ac1bee9ca980b27293748b5e19a00e268378401"),
+        ("lock_no_ll_branch.s", 3, 2, "8aee0de51217d6708afa9e10cf18fbd1e0c7257e2a8aa3421f50a0f19e3b6212"),
         ("lock_unlock.s", 2, 0, "4604605b9fd0ef8d937e26b82eb8367beeb9d7dee8347cee022a79f73c283a93"),
         ("lock_unlock.s", 3, 0, "2f68ab6167d6ac81730d10e78d1f75d6523f01ef5b4ec58074fb75c7493d4e4f"),
         ("unlocked_inc.s", 2, 0, "29f16309f36c96ecd7c58231a4539ece5231eab9fd6f85837ce98ab2c5f18ac2"),
@@ -604,10 +604,13 @@ def test_cli_run_trace_matches_golden_record(scenario, corpus_file, tmp_path, ca
 )
 def test_cli_explore_output_is_pinned(corpus_file, capsys, name, threads, exit_code, stdout_sha256):
     """`spinsim explore` prints the same report, first witness included,
-    and exits the same on every corpus program at 2 and 3 threads."""
+    and exits the same on every corpus program at 2 and 3 threads. The
+    first violation witness has the fewest steps that crowd a region."""
     assert main(["explore", str(corpus_file(name)), "--threads", str(threads)]) == exit_code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+    if name == "lock_no_ll_branch.s":
+        assert "  first witness schedule: [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1]\n" in out
 
 
 def test_cli_explore_exit_codes(corpus_file, capsys):
@@ -641,10 +644,13 @@ def test_cli_explore_exit_codes(corpus_file, capsys):
         == 3
     )
     capsys.readouterr()
-    # the search first reaches every state of lock_basic.s at 2 threads within 54 steps
-    argv = ["explore", str(corpus_file("lock_basic.s")), "--threads", "2", "--max-steps", "60"]
-    assert main(argv) == 0
-    assert "truncated: False" in capsys.readouterr().out
+    # every state of lock_basic.s at 2 threads lies within 30 steps of the start
+    argv = ["explore", str(corpus_file("lock_basic.s")), "--threads", "2", "--max-steps"]
+    assert main(argv + ["29"]) == 3
+    assert "truncated: True" in capsys.readouterr().out
+    for max_steps in ("30", "60"):
+        assert main(argv + [max_steps]) == 0
+        assert "truncated: False" in capsys.readouterr().out
 
 
 def test_cli_explore_counts_terminal_states_with_a_faulted_thread(tmp_path, capsys):

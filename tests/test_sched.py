@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -377,6 +378,48 @@ def test_explore_depth_bound_past_every_state_loses_nothing(load_corpus, name, m
     assert report_fields(rep) == report_fields(explore(p, 2))
 
 
+def test_explore_depth_bound_is_exact_and_monotone(load_corpus, monkeypatch):
+    """Level order records each state at its distance from the start, so
+    a larger `max_steps` never records fewer states (counted as `_thaw`
+    calls: each recorded state is thawed once, when expanded), and a run
+    is truncated exactly while some state lies farther than the bound:
+    30 steps for `lock_basic.s` at 2 threads, 32 for `lock_regcmp.s`."""
+    thaws = []
+
+    def counted(*args, _original=sched._thaw):
+        thaws.append(None)
+        return _original(*args)
+
+    monkeypatch.setattr(sched, "_thaw", counted)
+    p = load_corpus("lock_basic.s")
+    unbounded = report_fields(explore(p, 2))
+    recorded = 0
+    for max_steps in range(1, 36):
+        thaws.clear()
+        rep = explore(p, 2, max_steps=max_steps)
+        assert len(thaws) >= recorded, max_steps
+        recorded = len(thaws)
+        assert rep.truncated == (max_steps < 30), max_steps
+        if max_steps == 30:
+            assert report_fields(rep) == unbounded
+    p = load_corpus("lock_regcmp.s")
+    assert explore(p, 2, max_steps=31).truncated
+    assert not explore(p, 2, max_steps=32).truncated
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_explore_violation_witnesses_have_the_fewest_steps(load_corpus, threads):
+    """`lock_no_ll_branch.s` first crowds its region 12 steps in; the
+    first witness has those 12 steps, none is shorter, and a bound of 11
+    steps finds no violation while one of 12 does."""
+    p = load_corpus("lock_no_ll_branch.s")
+    violations = explore(p, threads).mutual_exclusion_violations
+    assert len(violations[0]) == 12
+    assert min(map(len, violations)) == 12
+    assert explore(p, threads, max_steps=11).mutual_exclusion_violations == []
+    assert explore(p, threads, max_steps=12).mutual_exclusion_violations
+
+
 def test_explore_three_threads(load_corpus):
     rep = explore(load_corpus("lock_basic.s"), 3)
     assert rep.final_values("accountBalance") == {115}
@@ -389,10 +432,13 @@ def test_explore_three_threads(load_corpus):
 
 def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_000):
     """The explorer keyed on whole-machine nested-tuple snapshots, thawed
-    in full before every child step. A state is recorded and pushed when
-    first reached; a bound drops a new state, one deeper than `max_steps`
-    or past `max_states` recorded ones, and sets truncated. Returns the
-    report's fields and the number of states recorded."""
+    in full before every child step, each state queued with its whole
+    path. States are expanded in level order, children in ascending
+    thread order, and a state is recorded and queued when first reached,
+    so its path has the fewest steps; a bound drops a new state, one more
+    than `max_steps` steps from the start or past `max_states` recorded
+    ones, and sets truncated. Returns the report's fields and the number
+    of states recorded."""
     m = init_machine(program, thread_count, ExecMode.HW)
 
     def freeze():
@@ -409,10 +455,10 @@ def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_
         m.memory = snap[1]
 
     finals, witnesses, violations, terminal, truncated = set(), {}, [], 0, False
-    stack = [(freeze(), ())]
-    seen = {stack[0][0]}
-    while stack:
-        snap, path = stack.pop()
+    queue = deque([(freeze(), ())])
+    seen = {queue[0][0]}
+    while queue:
+        snap, path = queue.popleft()
         threads = snap[0]
         if any(
             sum(t[6] == RUNNABLE and r.start <= t[3] < r.end for t in threads) >= 2
@@ -426,7 +472,7 @@ def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_
             witnesses.setdefault(final, list(path))
             terminal += 1
             continue
-        for tid in reversed(runnable):
+        for tid in runnable:
             thaw(snap)
             step_machine(m, tid)
             child = freeze()
@@ -436,7 +482,7 @@ def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_
                 truncated = True
                 continue
             seen.add(child)
-            stack.append((child, path + (tid,)))
+            queue.append((child, path + (tid,)))
     return (finals, witnesses, violations, terminal, truncated), len(seen)
 
 
@@ -489,8 +535,8 @@ def test_explore_matches_reference_on_corpus(load_corpus, name, threads):
 def test_explore_matches_reference_where_a_state_is_reached_twice_before_expansion():
     """`lock_unlock.s` with its STREX check at pc 6 turned into `CMP R2, #1`
     goes past its STREX only when the STREX fails. At 3 threads it
-    reaches states again while they wait on the stack, so its witnesses
-    show the push rule: a state is pushed once, from the path that first
+    reaches states again while they wait in the queue, so its witnesses
+    show the push rule: a state is queued once, from the path that first
     reaches it."""
     source = corpus_path("lock_unlock.s").read_text(encoding="utf-8")
     assert source.count("CMP R2, #0") == 1
