@@ -216,7 +216,7 @@ _SIGNATURES: dict[str, tuple[str, ...]] = {
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _REGISTER = re.compile(r"[Rr](\d+)$")
 _IMMEDIATE = re.compile(r"#([+-]?\d+)$")
-_MEMORY = re.compile(r"\[\s*[Rr](\d+)\s*\]$")
+_MEMORY = re.compile(r"\[\s*([Rr]\d+)\s*\]$")
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 
 
@@ -245,10 +245,7 @@ def _parse_operand(kind: str, tok: str, lineno: int) -> Operand:
         m = _MEMORY.match(tok)
         if not m:
             raise AsmError(lineno, f"expected [Rn] address operand, got {tok!r}")
-        n = int(m.group(1))
-        if not 0 <= n < REGISTER_COUNT:
-            raise AsmError(lineno, f"register R{n} out of range R0..R{REGISTER_COUNT - 1}")
-        return ("mem", n)
+        return ("mem", _parse_register(m.group(1), lineno))
     if kind == "reg_or_imm":
         m = _IMMEDIATE.match(tok)
         if m:

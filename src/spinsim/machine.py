@@ -14,10 +14,13 @@ earlier never changes. Trace events are built from `step`'s entries by
 The machine is sequentially consistent: one instruction retires at a
 time and every store is immediately visible to all threads. Reservation
 tracking is version-based: each mapped word (the exclusivity granule is
-one 4-byte word) carries a counter that every store bumps. LDREX records
-the counter; STREX succeeds only if the counter is unchanged and the
-monitor still covers the addressed granule. A thread's own plain STR to
-its monitored word also bumps the counter, so its later STREX fails.
+one 4-byte word) carries a counter that every store bumps. A thread's
+monitor is `(granule, counter)` from its LDREX while it holds a
+reservation and None while it is open: STREX, CLREX, a fault and exit
+open it, so an open monitor keeps nothing. STREX succeeds only if the
+monitor is the addressed granule with its counter unchanged. A thread's
+own plain STR to its monitored word also bumps the counter, so its later
+STREX fails.
 
 Per-opcode semantics:
 
@@ -58,7 +61,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .isa import Instruction, Program
+from .isa import REGISTER_COUNT, Instruction, Program
 
 MASK32 = 0xFFFFFFFF
 
@@ -81,8 +84,7 @@ class ThreadState(NamedTuple):
     z: bool = False
     n: bool = False
     pc: int = 0
-    mon_granule: int | None = None   # None == monitor open
-    mon_version: int = 0
+    monitor: tuple[int, int] | None = None   # (granule, version at LDREX); None == open
     status: str = RUNNABLE
     fault: str | None = None
 
@@ -135,7 +137,7 @@ def init_machine(
     return MachineState(
         program=program,
         mode=mode,
-        threads=[ThreadState((0,) * 13, pc=program.entry)] * thread_count,
+        threads=[ThreadState((0,) * REGISTER_COUNT, pc=program.entry)] * thread_count,
         memory=tuple((value & MASK32, 0) for value in values.values()),
     )
 
@@ -171,8 +173,8 @@ def _exiting(kernel: Kernel, end: int) -> Kernel:
         # Retiring into the end of the program exits, dropping the monitor.
         after, memory = kernel(t, memory)
         if after.pc == end:
-            regs, z, n, _, _, version, _, _ = after
-            after = _new(ThreadState, (regs, z, n, end, None, version, EXITED, None))
+            regs, z, n, _, _, _, _ = after
+            after = _new(ThreadState, (regs, z, n, end, None, EXITED, None))
         return after, memory
 
     return exiting
@@ -180,8 +182,8 @@ def _exiting(kernel: Kernel, end: int) -> Kernel:
 
 def _fault(t: ThreadState, reason: str) -> ThreadState:
     """`t` halted at its own pc with an open monitor."""
-    regs, z, n, pc, _, version, _, _ = t
-    return _new(ThreadState, (regs, z, n, pc, None, version, FAULTED, reason))
+    regs, z, n, pc, _, _, _ = t
+    return _new(ThreadState, (regs, z, n, pc, None, FAULTED, reason))
 
 
 # One kernel maker per opcode: `(program, instruction, next pc)`. Where
@@ -191,10 +193,10 @@ def _fault(t: ThreadState, reason: str) -> ThreadState:
 
 def _set_reg(rd: int, value: int, nxt: int) -> Kernel:
     def kernel(t, memory):
-        regs, z, n, _, granule, version, _, _ = t
+        regs, z, n, _, monitor, _, _ = t
         regs = list(regs)
         regs[rd] = value
-        return _new(ThreadState, (tuple(regs), z, n, nxt, granule, version, RUNNABLE, None)), memory
+        return _new(ThreadState, (tuple(regs), z, n, nxt, monitor, RUNNABLE, None)), memory
 
     return kernel
 
@@ -203,10 +205,10 @@ def _mov(program: Program, ins: Instruction, nxt: int) -> Kernel:
     (_, rd), (kind, src) = ins.operands
 
     def mov_reg(t, memory):
-        regs, z, n, _, granule, version, _, _ = t
+        regs, z, n, _, monitor, _, _ = t
         regs = list(regs)
         regs[rd] = regs[src]
-        return _new(ThreadState, (tuple(regs), z, n, nxt, granule, version, RUNNABLE, None)), memory
+        return _new(ThreadState, (tuple(regs), z, n, nxt, monitor, RUNNABLE, None)), memory
 
     return mov_reg if kind == "reg" else _set_reg(rd, src & MASK32, nxt)
 
@@ -220,16 +222,16 @@ def _add(program: Program, ins: Instruction, nxt: int) -> Kernel:
     (_, rd), (_, rn), (kind, src) = ins.operands
 
     def add_imm(t, memory):
-        regs, z, n, _, granule, version, _, _ = t
+        regs, z, n, _, monitor, _, _ = t
         regs = list(regs)
         regs[rd] = (regs[rn] + src) & MASK32
-        return _new(ThreadState, (tuple(regs), z, n, nxt, granule, version, RUNNABLE, None)), memory
+        return _new(ThreadState, (tuple(regs), z, n, nxt, monitor, RUNNABLE, None)), memory
 
     def add_reg(t, memory):
-        regs, z, n, _, granule, version, _, _ = t
+        regs, z, n, _, monitor, _, _ = t
         regs = list(regs)
         regs[rd] = (regs[rn] + regs[src]) & MASK32
-        return _new(ThreadState, (tuple(regs), z, n, nxt, granule, version, RUNNABLE, None)), memory
+        return _new(ThreadState, (tuple(regs), z, n, nxt, monitor, RUNNABLE, None)), memory
 
     return add_reg if kind == "reg" else add_imm
 
@@ -239,16 +241,16 @@ def _cmp(program: Program, ins: Instruction, nxt: int) -> Kernel:
 
     # Z: the 32-bit difference is zero; N: its bit 31 is set.
     def cmp_imm(t, memory):
-        regs, _, _, _, granule, version, _, _ = t
+        regs, _, _, _, monitor, _, _ = t
         d = (regs[ra] - src) & MASK32
         z, n = d == 0, d > 0x7FFFFFFF
-        return _new(ThreadState, (regs, z, n, nxt, granule, version, RUNNABLE, None)), memory
+        return _new(ThreadState, (regs, z, n, nxt, monitor, RUNNABLE, None)), memory
 
     def cmp_reg(t, memory):
-        regs, _, _, _, granule, version, _, _ = t
+        regs, _, _, _, monitor, _, _ = t
         d = (regs[ra] - regs[src]) & MASK32
         z, n = d == 0, d > 0x7FFFFFFF
-        return _new(ThreadState, (regs, z, n, nxt, granule, version, RUNNABLE, None)), memory
+        return _new(ThreadState, (regs, z, n, nxt, monitor, RUNNABLE, None)), memory
 
     return cmp_reg if kind == "reg" else cmp_imm
 
@@ -258,13 +260,13 @@ def _ldr_mem(program: Program, ins: Instruction, nxt: int) -> Kernel:
     word_index = program.word_index
 
     def kernel(t, memory):
-        regs, z, n, _, granule, version, _, _ = t
+        regs, z, n, _, monitor, _, _ = t
         w = word_index.get(regs[rn])
         if w is None:
             return _fault(t, "bus error"), memory
         regs = list(regs)
         regs[rd] = memory[w][0]
-        return _new(ThreadState, (tuple(regs), z, n, nxt, granule, version, RUNNABLE, None)), memory
+        return _new(ThreadState, (tuple(regs), z, n, nxt, monitor, RUNNABLE, None)), memory
 
     return kernel
 
@@ -274,14 +276,14 @@ def _ldrex(program: Program, ins: Instruction, nxt: int) -> Kernel:
     word_index = program.word_index
 
     def kernel(t, memory):
-        regs, z, n, _, _, _, _, _ = t
+        regs, z, n, _, _, _, _ = t
         addr = regs[rn]
         w = word_index.get(addr)
         if w is None:
             return _fault(t, "bus error"), memory
         regs = list(regs)
         regs[rd], version = memory[w]
-        return _new(ThreadState, (tuple(regs), z, n, nxt, addr, version, RUNNABLE, None)), memory
+        return _new(ThreadState, (tuple(regs), z, n, nxt, (addr, version), RUNNABLE, None)), memory
 
     return kernel
 
@@ -291,13 +293,13 @@ def _str(program: Program, ins: Instruction, nxt: int) -> Kernel:
     word_index = program.word_index
 
     def kernel(t, memory):
-        regs, z, n, _, granule, version, _, _ = t
+        regs, z, n, _, monitor, _, _ = t
         w = word_index.get(regs[rn])
         if w is None:
             return _fault(t, "bus error"), memory
         stored = list(memory)
         stored[w] = (regs[rm], memory[w][1] + 1)
-        after = _new(ThreadState, (regs, z, n, nxt, granule, version, RUNNABLE, None))
+        after = _new(ThreadState, (regs, z, n, nxt, monitor, RUNNABLE, None))
         return after, tuple(stored)
 
     return kernel
@@ -308,20 +310,21 @@ def _strex(program: Program, ins: Instruction, nxt: int) -> Kernel:
     word_index = program.word_index
 
     def kernel(t, memory):
-        regs, z, n, _, granule, version, _, _ = t
+        regs, z, n, _, monitor, _, _ = t
         addr = regs[rn]
         w = word_index.get(addr)
         if w is None:
             return _fault(t, "bus error"), memory
         new_regs = list(regs)
-        if granule == addr and version == memory[w][1]:
+        version = memory[w][1]
+        if monitor == (addr, version):
             new_regs[rd] = 0
             stored = list(memory)
             stored[w] = (regs[rm], version + 1)
             memory = tuple(stored)
         else:
             new_regs[rd] = 1
-        after = _new(ThreadState, (tuple(new_regs), z, n, nxt, None, version, RUNNABLE, None))
+        after = _new(ThreadState, (tuple(new_regs), z, n, nxt, None, RUNNABLE, None))
         return after, memory
 
     return kernel
@@ -332,9 +335,9 @@ def _nop(program: Program, ins: Instruction, nxt: int) -> Kernel:
     clear = ins.opcode == "CLREX"
 
     def kernel(t, memory):
-        regs, z, n, _, granule, version, _, _ = t
-        granule = None if clear else granule
-        return _new(ThreadState, (regs, z, n, nxt, granule, version, RUNNABLE, None)), memory
+        regs, z, n, _, monitor, _, _ = t
+        monitor = None if clear else monitor
+        return _new(ThreadState, (regs, z, n, nxt, monitor, RUNNABLE, None)), memory
 
     return kernel
 
@@ -350,11 +353,11 @@ def _branch(program: Program, ins: Instruction, nxt: int) -> Kernel:
     if_not_z = nxt if op == "BEQ" else target
 
     def kernel(t, memory):
-        regs, z, n, _, granule, version, _, _ = t
+        regs, z, n, _, monitor, _, _ = t
         to = if_z if z else if_not_z
         if to is None:
             return _fault(t, "bad branch"), memory
-        return _new(ThreadState, (regs, z, n, to, granule, version, RUNNABLE, None)), memory
+        return _new(ThreadState, (regs, z, n, to, monitor, RUNNABLE, None)), memory
 
     return kernel
 

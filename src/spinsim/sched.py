@@ -43,13 +43,11 @@ order. It records a state when first reached, so every recorded state
 is expanded once and lies at its shortest distance from the start; a
 new state farther than `max_steps`, or past `max_states` recorded ones,
 is dropped and sets `truncated`. A state is the full machine state
-(registers, flags, PCs, monitors, memory, and version counters; a held
-monitor's version decides whether its STREX succeeds, but an open
-monitor keeps a stale version that no rule reads and that still splits
-states), keyed by a short tuple of ints in the manner of SPIN's
-"collapse" compression (Holzmann, State Compression in SPIN, 1997):
-each thread record and each memory tuple is interned once per
-exploration, and the key holds their ids. The explorer holds no
+(registers, flags, PCs, monitors, memory, and version counters), keyed
+by a short tuple of ints in the manner of SPIN's "collapse" compression
+(Holzmann, State Compression in SPIN, 1997): each thread record and
+each memory tuple is interned once per exploration, and the key holds
+their ids. The explorer holds no
 machine: `_thaw` turns each dequeued key into its records and memory,
 which serve the region check, the runnable scan and every child, since
 `step` writes nothing. One step changes one thread and at most memory,
@@ -183,7 +181,7 @@ class _Runner:
         if self.clrex_on_switch and self._prev_tid not in (None, thread_id):
             # OS-like behavior: descheduling drops the outgoing reservation.
             prev = m.threads[self._prev_tid]
-            m.threads[self._prev_tid] = prev._replace(mon_granule=None)
+            m.threads[self._prev_tid] = prev._replace(monitor=None)
         self._prev_tid = thread_id
 
         t = m.threads[thread_id]
@@ -207,7 +205,7 @@ class _Runner:
                 if len(executed) == _ATOMIC_STEP_LIMIT:
                     # Fault the record that reached it, so its event names the fault.
                     before, _, memory_before, _ = executed[-1]
-                    after = after._replace(status=FAULTED, fault="atomic-step limit", mon_granule=None)
+                    after = after._replace(status=FAULTED, fault="atomic-step limit", monitor=None)
                     executed[-1] = (before, after, memory_before, memory)
                     break
                 executed += step(m.program, after, memory).executed

@@ -64,7 +64,7 @@ def instruction_lines(program):
         ))
 
     def monitor(t) -> str:
-        return "open" if t.mon_granule is None else f"{addr_sym[t.mon_granule]}:v{t.mon_version}"
+        return "open" if t.monitor is None else f"{addr_sym[t.monitor[0]]}:v{t.monitor[1]}"
 
     def line(entry, step, thread, tamper) -> str:
         before, after, memory_before, memory_after = entry
@@ -78,10 +78,8 @@ def instruction_lines(program):
                 f"[{quote(s)},{old[0]},{new[0]}]"
                 for s, old, new in zip(words, memory_before, memory_after) if old != new
             ) + "],"
-        if after.mon_granule != before.mon_granule or after.mon_version != before.mon_version:
-            old, new = monitor(before), monitor(after)
-            if old != new:
-                head += f'"monitor":[{quote(old)},{quote(new)}],'
+        if after.monitor != before.monitor:
+            head += f'"monitor":[{quote(monitor(before))},{quote(monitor(after))}],'
         head += pc_part
         if reg_head is not None and after.pc != pc:
             head += f"{reg_head}{before.regs[rd]},{after.regs[rd]}]],"

@@ -57,7 +57,7 @@ def test_init_ten_threads(load_corpus):
     assert all(t.status == RUNNABLE for t in m.threads)
     assert all(t.pc == p.entry for t in m.threads)
     assert all(t.regs == (0,) * 13 for t in m.threads)
-    assert all(t.mon_granule is None for t in m.threads)
+    assert all(t.monitor is None for t in m.threads)
     assert m.memory_by_symbol()["lockVar"] == 0
 
 
@@ -75,7 +75,7 @@ def test_init_bounds_the_thread_count_before_allocating(load_corpus):
 def test_init_single_thread_minimal(load_corpus):
     m = init_machine(load_corpus("lock_basic.s"), 1)
     assert len(m.threads) == 1
-    assert m.threads[0].mon_granule is None
+    assert m.threads[0].monitor is None
 
 
 def test_init_overrides(load_corpus):
@@ -188,7 +188,7 @@ def test_monitor_hygiene_second_strex_fails():
     t = m.threads[0]
     assert t.regs[2] == 0    # first succeeds
     assert t.regs[3] == 1    # second has no reservation
-    assert t.mon_granule is None
+    assert t.monitor is None
 
 
 def test_clrex_drops_reservation():
@@ -203,9 +203,9 @@ def test_clrex_drops_reservation():
     m = init_machine(p, 1)
     step_machine(m, 0)
     step_machine(m, 0)
-    assert m.threads[0].mon_granule is not None
+    assert m.threads[0].monitor is not None
     step_machine(m, 0)
-    assert m.threads[0].mon_granule is None
+    assert m.threads[0].monitor is None
     step_machine(m, 0)
     step_machine(m, 0)
     assert m.threads[0].regs[2] == 1
@@ -268,7 +268,7 @@ def test_unmapped_access_faults_thread_only():
     out = step_machine(m, 0)
     assert out.new_status == FAULTED
     assert m.threads[0].fault == "bus error"
-    assert m.threads[0].mon_granule is None
+    assert m.threads[0].monitor is None
     # the machine keeps running other threads
     assert m.threads[1].status == RUNNABLE
     step_machine(m, 1)
@@ -476,13 +476,13 @@ def test_only_isa_evaluates_the_stop_rule():
 def test_only_trace_renders_events():
     """The event format has one owner: only `trace` reads what only an
     event shows, the listing (instruction text and labels), the symbol
-    of an address and the monitor's version."""
-    readers: dict[str, set] = {"listing": set(), "addr_sym": set(), "mon_version": set()}
+    of an address and the monitor."""
+    readers: dict[str, set] = {"listing": set(), "addr_sym": set(), "monitor": set()}
     for path in Path(spinsim.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and node.attr in readers:
                 readers[node.attr].add(path.stem)
-    assert readers == {"listing": {"trace"}, "addr_sym": {"trace"}, "mon_version": {"trace"}}
+    assert readers == {"listing": {"trace"}, "addr_sym": {"trace"}, "monitor": {"trace"}}
 
 
 def test_only_the_runner_writes_a_machine():
@@ -546,7 +546,7 @@ def reference_execute(m: MachineState, t: ThreadState) -> ThreadState:
     prog = m.program
     memory = m.memory
     word_index = prog.word_index
-    regs, z, n, pc, granule, version, _, _ = t
+    regs, z, n, pc, monitor, _, _ = t
     ins = prog.instructions[pc]
     op = ins.opcode
     ops = ins.operands
@@ -572,7 +572,7 @@ def reference_execute(m: MachineState, t: ThreadState) -> ThreadState:
             rd = ops[0][1]
             value, word_version = memory[w]
             if op == "LDREX":
-                granule, version = addr, word_version
+                monitor = (addr, word_version)
     elif op == "STR":
         addr = regs[ops[1][1]]
         w = word_index.get(addr)
@@ -587,13 +587,13 @@ def reference_execute(m: MachineState, t: ThreadState) -> ThreadState:
             fault = "bus error"
         else:
             rd = ops[0][1]
-            if granule == addr and version == memory[w][1]:
+            if monitor == (addr, memory[w][1]):
                 store_word, store_value, value = w, regs[ops[1][1]], 0
             else:
                 value = 1
-            granule = None
+            monitor = None
     elif op == "CLREX":
-        granule = None
+        monitor = None
     elif op == "CMP":
         d = (regs[ops[0][1]] - src) & MASK32
         z = d == 0
@@ -612,9 +612,9 @@ def reference_execute(m: MachineState, t: ThreadState) -> ThreadState:
 
     status = RUNNABLE
     if fault is not None:
-        status, granule, next_pc = FAULTED, None, pc
+        status, monitor, next_pc = FAULTED, None, pc
     elif next_pc == len(prog.instructions):
-        status, granule = EXITED, None
+        status, monitor = EXITED, None
     if rd is not None:
         value &= MASK32
         new_regs = list(regs)
@@ -624,7 +624,7 @@ def reference_execute(m: MachineState, t: ThreadState) -> ThreadState:
         new_memory = list(memory)
         new_memory[store_word] = (store_value & MASK32, memory[store_word][1] + 1)
         m.memory = tuple(new_memory)
-    return ThreadState(regs, z, n, next_pc, granule, version, status, fault)
+    return ThreadState(regs, z, n, next_pc, monitor, status, fault)
 
 
 
@@ -681,27 +681,26 @@ def kernel_cases(draw, opcode: str):
     ]
     program = Program(instructions, labels, {sym: 0 for sym in syms}, regions=[])
     regs = tuple(draw(st.lists(_REG_VALUE, min_size=13, max_size=13)))
-    granule = draw(st.one_of(st.none(), st.sampled_from(regs), _REG_VALUE))
+    granule = st.one_of(st.sampled_from(regs), _REG_VALUE)
     t = ThreadState(
         regs,
         z=draw(st.booleans()),
         n=draw(st.booleans()),
         pc=pc,
-        mon_granule=granule,
-        mon_version=draw(st.integers(0, 2)),
+        monitor=draw(st.one_of(st.none(), st.tuples(granule, st.integers(0, 2)))),
     )
     memory = tuple((draw(_REG_VALUE), draw(st.integers(0, 2))) for _ in range(words))
     return program, t, memory
 
 
-def _case(source: str, *, pc: int = 0, regs: dict | None = None, granule=None, version=0):
+def _case(source: str, *, pc: int = 0, regs: dict | None = None, monitor=None):
     """A parsed one-word program, a thread record and a memory holding 7
     at version 1."""
     program = parse_program(".data a 0\n" + source)
     values = [0] * 13
     for r, v in (regs or {}).items():
         values[r] = v
-    t = ThreadState(tuple(values), pc=pc, mon_granule=granule, mon_version=version)
+    t = ThreadState(tuple(values), pc=pc, monitor=monitor)
     return program, t, ((7, 1),)
 
 
@@ -724,19 +723,19 @@ NAMED_KERNEL_CASES = {
     "ldr unaligned": lambda: _case("    LDR R1, [R2]\n", regs={2: DATA_BASE + 2}),
     "str": lambda: _case("    STR R1, [R2]\n", regs={1: 3, 2: DATA_BASE}),
     "strex success": lambda: _case(
-        "    STREX R1, R3, [R2]\n", regs={1: 4, 2: DATA_BASE, 3: 9}, granule=DATA_BASE, version=1
+        "    STREX R1, R3, [R2]\n", regs={1: 4, 2: DATA_BASE, 3: 9}, monitor=(DATA_BASE, 1)
     ),
     "strex success into its value register": lambda: _case(
-        "    STREX R1, R1, [R2]\n", regs={1: 9, 2: DATA_BASE}, granule=DATA_BASE, version=1
+        "    STREX R1, R1, [R2]\n", regs={1: 9, 2: DATA_BASE}, monitor=(DATA_BASE, 1)
     ),
     "strex stale version": lambda: _case(
-        "    STREX R1, R3, [R2]\n", regs={2: DATA_BASE}, granule=DATA_BASE, version=0
+        "    STREX R1, R3, [R2]\n", regs={2: DATA_BASE}, monitor=(DATA_BASE, 0)
     ),
     "strex unmapped": lambda: _case("    STREX R1, R3, [R2]\n", regs={2: DATA_BASE + 4}),
     "ldrex": lambda: _case("    LDREX R2, [R2]\n    NOP\n", regs={2: DATA_BASE}),
-    "clrex": lambda: _case("    CLREX\n    NOP\n", granule=DATA_BASE, version=1),
-    "exit at program end": lambda: _case("    NOP\n    NOP\n", pc=1, granule=DATA_BASE),
-    "branch to program end": lambda: _case("    B done\n    NOP\ndone:\n", granule=DATA_BASE),
+    "clrex": lambda: _case("    CLREX\n    NOP\n", monitor=(DATA_BASE, 1)),
+    "exit at program end": lambda: _case("    NOP\n    NOP\n", pc=1, monitor=(DATA_BASE, 0)),
+    "branch to program end": lambda: _case("    B done\n    NOP\ndone:\n", monitor=(DATA_BASE, 0)),
     "branch past program end": lambda: _hand_built("B", 99, False),
     "branch before program start": lambda: _hand_built("BEQ", -1, True),
 }
@@ -819,7 +818,7 @@ def reference_gdb_step(machine: MachineState, thread_id: int) -> StepOutcome:
         after, machine.memory = kernels[t.pc](t, memory)
         more = after.status == RUNNABLE and inside[after.pc] is not None
         if more and len(executed) == _ATOMIC_STEP_LIMIT - 1:
-            after = after._replace(status=FAULTED, fault="atomic-step limit", mon_granule=None)
+            after = after._replace(status=FAULTED, fault="atomic-step limit", monitor=None)
             more = False
         threads[thread_id] = after
         executed.append((t, after, memory, machine.memory))

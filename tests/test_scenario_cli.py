@@ -595,9 +595,9 @@ def test_cli_run_trace_matches_golden_record(scenario, corpus_file, tmp_path, ca
         ("lock_regcmp.s", 2, 0, "8e530ad8944b601771b76550ffa6480ed308b03183ea192eafd5217c30557ddc"),
         ("lock_regcmp.s", 3, 0, "367c45abb6dabc60d6562fb94e97fba6d06ba5e38c5bc146197b342ce1988d9e"),
         ("lock_no_ll_branch.s", 2, 2, "2707168a4dadd833b945e2a87ac1bee9ca980b27293748b5e19a00e268378401"),
-        ("lock_no_ll_branch.s", 3, 2, "8aee0de51217d6708afa9e10cf18fbd1e0c7257e2a8aa3421f50a0f19e3b6212"),
-        ("lock_unlock.s", 2, 0, "4604605b9fd0ef8d937e26b82eb8367beeb9d7dee8347cee022a79f73c283a93"),
-        ("lock_unlock.s", 3, 0, "2f68ab6167d6ac81730d10e78d1f75d6523f01ef5b4ec58074fb75c7493d4e4f"),
+        ("lock_no_ll_branch.s", 3, 2, "9a02cf3e296a0bfe30895016ebc593f4ef996190734fb11bbf120702c3978b9e"),
+        ("lock_unlock.s", 2, 0, "c58a00383dd890b2e8f3cac84a0bcf933056058bbfcb6cf5c87c91172711d772"),
+        ("lock_unlock.s", 3, 0, "c58a00383dd890b2e8f3cac84a0bcf933056058bbfcb6cf5c87c91172711d772"),
         ("unlocked_inc.s", 2, 0, "29f16309f36c96ecd7c58231a4539ece5231eab9fd6f85837ce98ab2c5f18ac2"),
         ("unlocked_inc.s", 3, 0, "17a4b470890ec96492793c400df7a1ce05c9405f5cb0268f62de79c729d02268"),
     ],
@@ -605,12 +605,19 @@ def test_cli_run_trace_matches_golden_record(scenario, corpus_file, tmp_path, ca
 def test_cli_explore_output_is_pinned(corpus_file, capsys, name, threads, exit_code, stdout_sha256):
     """`spinsim explore` prints the same report, first witness included,
     and exits the same on every corpus program at 2 and 3 threads. The
-    first violation witness has the fewest steps that crowd a region."""
+    first violation witness has the fewest steps that crowd a region.
+    An open monitor holds no version, so `lock_unlock.s` reaches one
+    terminal state."""
     assert main(["explore", str(corpus_file(name)), "--threads", str(threads)]) == exit_code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
     if name == "lock_no_ll_branch.s":
         assert "  first witness schedule: [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1]\n" in out
+    if name == "lock_no_ll_branch.s" and threads == 3:
+        assert "schedules explored: 93\n" in out
+        assert "mutual-exclusion violations: 3936\n" in out
+    if name == "lock_unlock.s":
+        assert out.startswith("schedules explored: 1\n")
 
 
 def test_cli_explore_exit_codes(corpus_file, capsys):

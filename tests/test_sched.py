@@ -219,10 +219,10 @@ def test_thread_records_are_values(load_corpus):
     for _ in range(3):  # through the LDREX
         runner.dispatch(0)
     held = m.threads[0]
-    assert held.mon_granule == lock_var
+    assert held.monitor == (lock_var, 0)
     runner.dispatch(1)
-    assert held.mon_granule == lock_var
-    assert m.threads[0] == held._replace(mon_granule=None)
+    assert held.monitor == (lock_var, 0)
+    assert m.threads[0] == held._replace(monitor=None)
 
 
 def test_splitmix64_reference_values():
@@ -420,6 +420,16 @@ def test_explore_violation_witnesses_have_the_fewest_steps(load_corpus, threads)
     assert explore(p, threads, max_steps=12).mutual_exclusion_violations
 
 
+@pytest.mark.parametrize("threads", [2, 3])
+def test_explore_lock_unlock_has_one_terminal_state(load_corpus, threads):
+    """Every schedule of `lock_unlock.s` ends with each thread exited,
+    its monitor open and the lock free, and an open monitor holds no
+    version: there is one terminal state."""
+    rep = explore(load_corpus("lock_unlock.s"), threads)
+    assert rep.schedules_explored == 1
+    assert rep.final_states == {(("lockVar", 0),)}
+
+
 def test_explore_three_threads(load_corpus):
     rep = explore(load_corpus("lock_basic.s"), 3)
     assert rep.final_values("accountBalance") == {115}
@@ -444,14 +454,14 @@ def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_
     def freeze():
         return (
             tuple(
-                (tuple(t.regs), t.z, t.n, t.pc, t.mon_granule, t.mon_version, t.status, t.fault)
+                ThreadState(tuple(t.regs), t.z, t.n, t.pc, t.monitor, t.status, t.fault)
                 for t in m.threads
             ),
             m.memory,
         )
 
     def thaw(snap):
-        m.threads[:] = [ThreadState(*s) for s in snap[0]]
+        m.threads[:] = snap[0]
         m.memory = snap[1]
 
     finals, witnesses, violations, terminal, truncated = set(), {}, [], 0, False
@@ -461,11 +471,11 @@ def reference_explore(program, thread_count, max_steps=10_000, max_states=1_000_
         snap, path = queue.popleft()
         threads = snap[0]
         if any(
-            sum(t[6] == RUNNABLE and r.start <= t[3] < r.end for t in threads) >= 2
+            sum(t.status == RUNNABLE and r.start <= t.pc < r.end for t in threads) >= 2
             for r in program.regions
         ):
             violations.append(list(path))
-        runnable = [i for i, t in enumerate(threads) if t[6] == RUNNABLE]
+        runnable = [i for i, t in enumerate(threads) if t.status == RUNNABLE]
         if not runnable:
             final = tuple(sorted((sym, value) for sym, (value, _) in zip(program.data_words, snap[1])))
             finals.add(final)
@@ -541,7 +551,7 @@ def test_explore_matches_reference_where_a_state_is_reached_twice_before_expansi
     source = corpus_path("lock_unlock.s").read_text(encoding="utf-8")
     assert source.count("CMP R2, #0") == 1
     program = parse_program(source.replace("CMP R2, #0", "CMP R2, #1"))
-    assert assert_explorers_agree(program, 3, cap_sweep=False) == 10_602
+    assert assert_explorers_agree(program, 3, cap_sweep=False) == 10_024
 
 
 _REG_ADDR = st.sampled_from(("R10", "R11"))
@@ -630,10 +640,10 @@ def test_explore_calls_freeze_and_thaw(load_corpus, monkeypatch):
 @pytest.mark.parametrize(
     "name, threads, states, transitions, terminal, violating",
     [
-        ("lock_basic.s", 3, 13_380, 35_382, 6, 0),
+        ("lock_basic.s", 3, 13_140, 34_926, 6, 0),
         ("unlocked_inc.s", 4, 2_765, 6_136, 109, 0),
-        ("lock_no_ll_branch.s", 3, 50_764, 127_044, 186, 5_856),
-        ("lock_regcmp.s", 3, 18_919, 50_865, 6, 0),
+        ("lock_no_ll_branch.s", 3, 38_134, 97_212, 93, 3_936),
+        ("lock_regcmp.s", 3, 18_619, 50_295, 6, 0),
     ],
 )
 def test_explore_graph_size_is_pinned(

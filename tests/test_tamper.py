@@ -169,8 +169,7 @@ def test_tampers_touch_registers_only(load_corpus):
         t.z,
         t.n,
         t.pc,
-        t.mon_granule,
-        t.mon_version,
+        t.monitor,
         [r for i, r in enumerate(t.regs) if i != 7],
     )
     apply_tampers(compiled, m, 1, 2, 1)
@@ -180,8 +179,7 @@ def test_tampers_touch_registers_only(load_corpus):
         t.z,
         t.n,
         t.pc,
-        t.mon_granule,
-        t.mon_version,
+        t.monitor,
         [r for i, r in enumerate(t.regs) if i != 7],
     )
     assert before == after

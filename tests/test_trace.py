@@ -373,9 +373,10 @@ def test_fallback_encoder_gives_the_same_trace_bytes(load_corpus, corpus_file, m
 
 
 def _monitor_text(addr_sym, t):
-    if t.mon_granule is None:
+    if t.monitor is None:
         return "open"
-    return f"{addr_sym[t.mon_granule]}:v{t.mon_version}"
+    granule, version = t.monitor
+    return f"{addr_sym[granule]}:v{version}"
 
 
 def _instruction_records(program):
@@ -404,7 +405,7 @@ def _instruction_records(program):
                 for sym, old, new in zip(program.data_words, memory_before, memory_after)
                 if old != new
             ]
-        if after.mon_granule != before.mon_granule or after.mon_version != before.mon_version:
+        if after.monitor != before.monitor:
             old_text = _monitor_text(program.addr_sym, before)
             new_text = _monitor_text(program.addr_sym, after)
             if new_text != old_text:
